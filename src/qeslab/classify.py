@@ -18,15 +18,16 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .enveloping import J_BODY_SIGN, grading, word_is_exact
+from .enveloping import body_signed, grading, word_is_exact
 from .linalg import nullspace, rank
-from .operators import LinOperator, compose
+from .operators import LinOperator
 from .reps import GeneratorSet, RepSpec, make_rep
-from .scalars import ONE, Scalar, ZERO, nhat, qnumber
-from .spaces import SpaceSpec, action_matrix, preserves
+from .scalars import ONE, QParam, Scalar, ZERO, nhat, qnumber
+from .spaces import SpaceSpec, action_matrix
 
 # --------------------------------------------------------------------------
 # coefficient bases: name -> generator word (composed in the printed order)
@@ -113,13 +114,11 @@ class CoeffAssignment:
 
     def operator(self, gens: GeneratorSet | None = None) -> LinOperator:
         gens = gens or make_rep(self.spec)
-        flip = J_BODY_SIGN.get(self.spec.algebra)
         words = coefficient_words(self.spec)
         out = LinOperator.zero(gens.ctx)
         for name, c in self.values.items():
             word = words[name]
-            if flip:
-                c = c * Scalar((-1) ** sum(1 for g in word if g == flip))
+            c = body_signed(self.spec.algebra, c, word)
             out = out + gens.word_op(word).scale(c)
         return out
 
@@ -192,9 +191,21 @@ def classify_grading(assignment: CoeffAssignment, gens: GeneratorSet | None = No
 # --------------------------------------------------------------------------
 # catalogue loading and predicate evaluation
 
-def load_catalogue() -> dict:
+@lru_cache(maxsize=None)
+def _catalogue() -> dict:
+    """data/cases.json, parsed once per process.  It is shared, so only
+    copies of it leave this module."""
     with resources.files("qeslab.data").joinpath("cases.json").open() as fh:
         return json.load(fh)
+
+
+def _copy(data, old: str, new: str):
+    """Deep copy of parsed JSON, with old replaced by new in every string."""
+    if isinstance(data, dict):
+        return {_copy(k, old, new): _copy(v, old, new) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_copy(v, old, new) for v in data]
+    return data.replace(old, new) if isinstance(data, str) else data
 
 
 @dataclass
@@ -227,14 +238,11 @@ class CaseRule:
 
 
 def rules_for(spec: RepSpec) -> List[CaseRule]:
-    cat = load_catalogue()["catalogues"].get(spec.algebra, [])
-    out = []
-    for data in cat:
-        data = json.loads(json.dumps(data))   # deep copy
-        if spec.algebra == "gl2_semi":
-            data = json.loads(json.dumps(data).replace("c_4.R", f"c_4.{5 + spec.r}"))
-        out.append(CaseRule.from_json(spec.algebra, data))
-    return out
+    """Fresh rules of one family: callers may change them freely.  The
+    semidirect family's top ideal coefficient c_4.R is named for its width."""
+    top = f"c_4.{5 + spec.r}" if spec.algebra == "gl2_semi" else "c_4.R"
+    return [CaseRule.from_json(spec.algebra, _copy(data, "c_4.R", top))
+            for data in _catalogue()["catalogues"].get(spec.algebra, [])]
 
 
 def _affine(expr: Dict[str, str], env: Dict[str, Scalar]) -> Scalar:
@@ -482,6 +490,28 @@ def sample_assignment(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
         if all(not coeffs[nm].is_zero() for nm in rule.requires_nonzero):
             return CoeffAssignment(spec, coeffs)
     raise RuntimeError(f"could not sample a nondegenerate assignment for {rule.id}")
+
+
+CASE_FAMILIES = (RepSpec("sl2"), RepSpec("sl2q", q=QParam(2)), RepSpec("osp22"),
+                 RepSpec("sl3"), RepSpec("sl2xsl2"), RepSpec("gl2_semi", r=2))
+
+
+def case_jobs(rng: random.Random) -> Iterator[Tuple[RepSpec, CaseRule, Dict[str, object], int]]:
+    """The catalogue soundness sweep: every rule of the six families at three
+    seeded marks, as (spec, rule, params, t) with t the mark's index."""
+    for spec0 in CASE_FAMILIES:
+        for rule in rules_for(spec0):
+            for t in range(3):
+                n = rng.randint(4, 9)
+                spec = RepSpec(spec0.algebra, n=Scalar(n), m=Scalar(rng.randint(2, 5)),
+                               q=spec0.q, r=spec0.r)
+                params: Dict[str, object] = {"n": spec.n, "m": spec.m}
+                for fp in rule.free:
+                    hi = n - 3 if rule.free_max else 4
+                    params[fp] = rng.randint(0, max(0, hi))
+                if rule.noninteger_solve:
+                    params[rule.noninteger_solve["var"]] = Fraction(2 * rng.randint(1, 5) + 1, 2)
+                yield spec, rule, params, t
 
 
 def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],

@@ -2,7 +2,10 @@
 
 Every command prints one JSON report (schema 1) built deterministically from
 its inputs and the seed; exit status is 0 for a pass, 1 for a verification
-failure, 2 for usage errors.  CSV emitters cover the reduction outputs.
+failure, 2 for usage errors, 3 for an internal failure (the error report on
+stderr names the failing stage).  Bad input is turned into a usage error where
+the arguments are read, so an error raised inside a computation is never
+mistaken for one.  CSV emitters cover the reduction outputs.
 """
 
 from __future__ import annotations
@@ -13,17 +16,19 @@ import json
 import os
 import random
 import sys
+import traceback
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
-from .classify import (CoeffAssignment, classify_grading,
-                       constrained_param_count, find_rule, match_cases,
-                       rules_for, verify_case)
+from .classify import (CoeffAssignment, case_jobs, classify_grading,
+                       conclusion_spaces, constrained_param_count, find_rule,
+                       match_cases, verify_case)
 from .dsl import EvalContext, ParseError, evaluate, operator_to_dsl, parse_operator, print_ast
 from .enveloping import (burnside_span_rank, grading, make_word, param_count,
                          coefficient_shape_check, verify_relations,
-                         words_up_to_degree, expand_word)
-from .identities import verify_identity
+                         word_is_exact, words_up_to_degree, expand_word)
+from .identities import IDENTITY_IDS, verify_identity
 from .operators import LinOperator, commutator
 from .reps import ALGEBRAS, RepSpec, make_rep, verify_structure
 from .scalars import QParam, Scalar
@@ -38,32 +43,48 @@ class UsageError(ValueError):
     pass
 
 
+@contextmanager
+def _bad_input(what: str):
+    """Read command-line input: a value it rejects is a usage error."""
+    try:
+        yield
+    except UsageError:
+        raise
+    except (KeyError, ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"{what}: {e}") from e
+
+
 def _scalar_arg(text: str | None) -> Scalar:
     if text is None:
         return Scalar(0)
-    return Scalar(Fraction(text)) if "i" not in text else Scalar.parse(text)
+    with _bad_input(f"bad number {text!r}"):
+        return Scalar(Fraction(text)) if "i" not in text else Scalar.parse(text)
 
 
 def _spec_from_args(args) -> RepSpec:
     if not args.algebra:
         raise UsageError("--algebra is required for this command")
-    q = None
-    if args.algebra == "sl2q":
-        q = QParam(_scalar_arg(args.q or "2"))
-    return RepSpec(args.algebra, n=_scalar_arg(args.n), m=_scalar_arg(args.m),
-                   q=q, r=args.r, k=getattr(args, "k", 2))
+    with _bad_input("bad representation"):
+        q = QParam(_scalar_arg(args.q or "2")) if args.algebra == "sl2q" else None
+        return RepSpec(args.algebra, n=_scalar_arg(args.n), m=_scalar_arg(args.m),
+                       q=q, r=args.r, k=getattr(args, "k", 2))
+
+
+def _space_arg(text: str) -> SpaceSpec:
+    with _bad_input(f"bad space {text!r}"):
+        return parse_space(text)
 
 
 def _env_from_args(args) -> EvalContext:
     if args.algebra:
         return EvalContext.for_algebra(_spec_from_args(args))
-    if args.space:
-        s = parse_space(args.space)
+    s = _space_arg(args.space) if args.space else None
+    with _bad_input("bad --vars or --q"):
         q = QParam(_scalar_arg(args.q)) if args.q else None
-        return EvalContext.for_vars(s.vars, q=q, theta=s.is_spinor())
-    vars = tuple(v for v in (args.vars or "x").split(",") if v)
-    q = QParam(_scalar_arg(args.q)) if args.q else None
-    return EvalContext.for_vars(vars, q=q)
+        if s is not None:
+            return EvalContext.for_vars(s.vars, q=q, theta=s.is_spinor())
+        vars = tuple(v for v in (args.vars or "x").split(",") if v)
+        return EvalContext.for_vars(vars, q=q)
 
 
 def _digest(payload: dict) -> str:
@@ -94,9 +115,8 @@ def emit(args, command: str, inputs: dict, payload: dict, ok: bool,
 def _load_coeffs(args, spec: RepSpec) -> CoeffAssignment:
     if not args.coeffs:
         raise UsageError("--coeffs FILE is required")
-    with open(args.coeffs) as fh:
-        data = json.load(fh)
-    return CoeffAssignment.from_json(spec, data)
+    with open(args.coeffs) as fh, _bad_input(f"bad coefficients in {args.coeffs}"):
+        return CoeffAssignment.from_json(spec, json.load(fh))
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +176,8 @@ def cmd_grading(args) -> int:
     spec = _spec_from_args(args)
     gens = make_rep(spec)
     names = [w.strip() for w in args.word.split(",") if w.strip()]
-    word = make_word(gens, names)
+    with _bad_input("bad --word"):
+        word = make_word(gens, names)
     gx, gy, tot = grading(word, gens)
     payload = {"word": names, "vector": [str(gx), str(gy)], "total": str(tot)}
     return emit(args, "grading", {"word": args.word, **_spec_inputs(spec)},
@@ -165,7 +186,7 @@ def cmd_grading(args) -> int:
 
 def cmd_invariance(args) -> int:
     env = _env_from_args(args)
-    s = parse_space(args.space)
+    s = _space_arg(args.space)
     op = evaluate(parse_operator(args.op), env)
     res = action_matrix(op, s)
     payload = {
@@ -191,7 +212,6 @@ def cmd_classify(args) -> int:
         rule = find_rule(spec, m["id"])
         params = {"n": spec.n, "m": spec.m}
         params.update({k: Fraction(v) for k, v in m["params"].items()})
-        from .classify import conclusion_spaces
         for desc, target in conclusion_spaces(rule, spec, params):
             if isinstance(target, SpaceSpec) and preserves(op, target):
                 confirmed.append(desc)
@@ -220,7 +240,7 @@ def cmd_param_count(args) -> int:
 
 def cmd_spectrum(args) -> int:
     env = _env_from_args(args)
-    s = parse_space(args.space)
+    s = _space_arg(args.space)
     op = evaluate(parse_operator(args.op), env)
     res = action_matrix(op, s)
     if not res.preserved:
@@ -240,9 +260,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    params = dict(kv.split("=") for kv in args.sextic.split(","))
-    n, k = int(params["n"]), int(params["k"])
-    a, b = Fraction(params["a"]), Fraction(params["b"])
+    with _bad_input(f"bad --sextic {args.sextic!r}"):
+        params = dict(kv.split("=") for kv in args.sextic.split(","))
+        n, k = int(params["n"]), int(params["k"])
+        a, b = Fraction(params["a"]), Fraction(params["b"])
     zgrid = [args.zmin + i * args.spacing
              for i in range(int((args.zmax - args.zmin) / args.spacing) + 1)]
     red, act = sextic_reduction(n, k, a, b, zgrid)
@@ -262,8 +283,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_matrix_example(args) -> int:
-    model = build_matrix_example(float(Fraction(args.alpha)),
-                                 float(Fraction(args.beta)), int(args.n))
+    with _bad_input("bad --alpha, --beta or --n"):
+        alpha, beta, n = float(Fraction(args.alpha)), float(Fraction(args.beta)), int(args.n)
+    model = build_matrix_example(alpha, beta, n)
     resid = matrix_example_residuals(model) if model.preserved else []
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -284,9 +306,10 @@ def cmd_matrix_example(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    rep = verify_identity(args.id, n=int(args.n or 1),
-                          q=Fraction(args.q) if args.q else 2,
-                          r=args.r, k=args.k, grassmann=args.grassmann)
+    with _bad_input("bad --n or --q"):
+        n, q = int(args.n or 1), Fraction(args.q) if args.q else 2
+    rep = verify_identity(args.id, n=n, q=q, r=args.r, k=args.k,
+                          grassmann=args.grassmann)
     rep.pop("remainder_terms", None)
     return emit(args, "identity", {"id": args.id, "n": args.n, "q": args.q},
                 rep, rep["ok"], checks=[args.id])
@@ -379,31 +402,15 @@ def _suite_cases(args, rng) -> dict:
     trials = args.trials or 25
     rows = []
     discrepant = []
-    jobs: List[tuple] = []
-    for spec0 in (RepSpec("sl2"), RepSpec("sl2q", q=QParam(2)), RepSpec("osp22"),
-                  RepSpec("sl3"), RepSpec("sl2xsl2"), RepSpec("gl2_semi", r=2)):
-        for rule in rules_for(spec0):
-            jobs.append((spec0, rule))
-    for spec0, rule in jobs:
-        for t in range(3):
-            n = rng.randint(4, 9)
-            spec = RepSpec(spec0.algebra, n=Scalar(n),
-                           m=Scalar(rng.randint(2, 5)), q=spec0.q, r=spec0.r)
-            params: Dict[str, object] = {"n": spec.n, "m": spec.m}
-            for fp in rule.free:
-                hi = n - 3 if rule.free_max else 4
-                params[fp] = rng.randint(0, max(0, hi))
-            if rule.noninteger_solve:
-                params[rule.noninteger_solve["var"]] = Fraction(2 * rng.randint(1, 5) + 1, 2)
-            rep = verify_case(rule, spec, params, trials=trials,
-                              seed=args.seed + t)
-            rows.append({"rule": rule.id, "algebra": spec.algebra,
-                         "n": str(spec.n), "params": rep["params"],
-                         "trials": trials, "ok": rep["ok"],
-                         "as_printed": rule.as_printed,
-                         "counterexamples": rep["counterexamples"][:2]})
-            if not rule.as_printed:
-                discrepant.append({"rule": rule.id, "note": rule.note})
+    for spec, rule, params, t in case_jobs(rng):
+        rep = verify_case(rule, spec, params, trials=trials, seed=args.seed + t)
+        rows.append({"rule": rule.id, "algebra": spec.algebra,
+                     "n": str(spec.n), "params": rep["params"],
+                     "trials": trials, "ok": rep["ok"],
+                     "as_printed": rule.as_printed,
+                     "counterexamples": rep["counterexamples"][:2]})
+        if not rule.as_printed:
+            discrepant.append({"rule": rule.id, "note": rule.note})
     uniq = {d["rule"]: d for d in discrepant}
     return {"rows": rows, "repaired_rules": sorted(uniq.values(), key=lambda d: d["rule"]),
             "ok": all(r["ok"] for r in rows)}
@@ -449,7 +456,6 @@ def _suite_shapes(args, rng) -> dict:
         for variant in ("quasi", "exact"):
             words = words_up_to_degree(gens, k)
             if variant == "exact":
-                from .enveloping import word_is_exact
                 words = [w for w in words if word_is_exact(w, gens)]
             agg = LinOperator.zero(gens.ctx)
             coeff = 1
@@ -579,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q")
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--k", "--degree", type=int, default=2, dest="degree",
-                    metavar="K", help="polynomial degree (1 or 2)")
+                    choices=(1, 2), metavar="K", help="polynomial degree (1 or 2)")
     sp.add_argument("--variant", default="quasi",
                     choices=("quasi", "exact", "exact_x", "exact_y"))
     sp.add_argument("--matrix", action="store_true")
@@ -606,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_matrix_example)
 
     sp = sub.add_parser("identity", **sub_kw, help="verify one catalogued operator identity")
-    sp.add_argument("--id", required=True)
+    sp.add_argument("--id", required=True, choices=IDENTITY_IDS)
     sp.add_argument("--n")
     sp.add_argument("--q")
     sp.add_argument("--r", type=int, default=2)
@@ -634,9 +640,16 @@ def run_command(argv: Sequence[str]) -> int:
         return 2 if e.code else 0
     try:
         return args.fn(args)
-    except (UsageError, ParseError, FileNotFoundError, KeyError, ValueError) as e:
+    except (UsageError, ParseError, FileNotFoundError) as e:
         print(json.dumps({"schema": SCHEMA, "error": str(e)}), file=sys.stderr)
         return 2
+    except Exception as e:
+        stage = " ".join([args.command] + [getattr(args, a) for a in ("action", "suite")
+                                           if getattr(args, a, None)])
+        print(json.dumps({"schema": SCHEMA, "error": f"{type(e).__name__}: {e}",
+                          "internal": True, "stage": stage,
+                          "traceback": traceback.format_exc()}), file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -13,8 +13,8 @@ table hold verbatim (J acts as -n/2 on the even sector).  The quadratic
 relation catalogue and the second-order coefficient parameterization were
 written for the opposite sign, so every word there multiplies its coefficient
 by (-1)**(number of J factors).  ``J_BODY_SIGN`` marks the families where
-that applies; three catalogue entries additionally needed their right-hand
-sides repaired (they fail expansion as printed for every mark), and those
+that applies and ``body_signed`` applies it; three catalogue entries
+additionally needed their right-hand sides repaired (they fail expansion as printed for every mark), and those
 carry ``as_printed=False``.
 """
 
@@ -27,9 +27,9 @@ from itertools import combinations_with_replacement
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .linalg import rank
-from .operators import LinOperator, MatrixOperator, OpContext, compose, to_matrix_operator
-from .poly import Poly, SuperPoly
-from .reps import GeneratorSet, RepSpec, make_rep
+from .operators import LinOperator, MatrixOperator, to_matrix_operator
+from .poly import SuperPoly
+from .reps import GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep
 from .scalars import ONE, QParam, Scalar, ScalarLike, ZERO, nhat, qnumber
 
 EnvWord = Tuple[Tuple[str, int], ...]   # ((name, exponent), ...) in global order
@@ -55,16 +55,8 @@ def make_word(gens: GeneratorSet, names: Sequence[str]) -> EnvWord:
     return tuple((nm, counts[nm]) for nm in gens.names if nm in counts)
 
 
-def word_degree(word: EnvWord) -> int:
-    return sum(e for _, e in word)
-
-
 def expand_word(gens: GeneratorSet, word: EnvWord) -> LinOperator:
-    out = LinOperator.identity(gens.ctx)
-    for name, e in word:
-        for _ in range(e):
-            out = compose(out, gens.ops[name])
-    return out
+    return gens.word_op(word_names(word))
 
 
 def expand(p: EnvPoly, gens: GeneratorSet) -> LinOperator:
@@ -76,16 +68,9 @@ def expand(p: EnvPoly, gens: GeneratorSet) -> LinOperator:
 
 
 def expand_matrix(p: EnvPoly, gens: GeneratorSet) -> MatrixOperator:
-    ctx = OpContext(gens.ctx.vars, q=gens.ctx.q)
-    out = MatrixOperator.zero(ctx)
-    for word, c in p.items():
-        term = MatrixOperator.identity(ctx)
-        for name, e in word:
-            m = to_matrix_operator(gens.ops[name])
-            for _ in range(e):
-                term = term * m
-        out = out + term.scale(c)
-    return out
+    """Two-component image of an element of the superalgebra family (the
+    matrix transcription is an algebra map, so it is applied once at the end)."""
+    return to_matrix_operator(expand(p, gens))
 
 
 def grading(word: EnvWord, gens: GeneratorSet) -> Tuple[Fraction, Fraction, Fraction]:
@@ -197,22 +182,14 @@ def paper_count(algebra: str, k: int, variant: str, matrix_form: bool,
     return None
 
 
-def escape_constrained_rank(gens: GeneratorSet, flag, budget: int,
-                            order_cap: int, matrix_form: bool) -> int:
-    """Dimension of {operators in the word span preserving every flag member}.
+def preserving_family(mats: Sequence[MatrixOperator], flag) -> List[MatrixOperator]:
+    """A spanning list of {combinations of mats preserving every flag member}.
 
-    Escape coordinates of each word on each flag member form a linear system;
-    the family is its nullspace, and the returned value is the exact rank of
-    the family's expanded image.
+    Escape coordinates of each operator on each flag member form a linear
+    system; the family is its nullspace.
     """
     from .spaces import action_matrix
     from .linalg import nullspace
-    words = words_up_to_degree(gens, budget)
-    mats = []
-    for w in words:
-        m = expand_matrix({w: ONE}, gens) if matrix_form else expand_word(gens, w)
-        if m.order() <= order_cap:
-            mats.append(m)
     rows = []
     for s in flag:
         escmaps = []
@@ -238,8 +215,7 @@ def escape_constrained_rank(gens: GeneratorSet, flag, budget: int,
                 out = t if out is None else out + t
         if out is not None:
             ops.append(out)
-    flat = flatten_matrix_ops(ops) if matrix_form else flatten_ops(ops)
-    return rank(flat)
+    return ops
 
 
 def param_count(spec: RepSpec, k: int, variant: str = "quasi",
@@ -256,26 +232,21 @@ def param_count(spec: RepSpec, k: int, variant: str = "quasi",
     if k not in (1, 2):
         raise ValueError("parameter counts are catalogued for k in {1, 2}")
     gens = make_rep(spec)
-    budget = k + 1 if matrix_form else k
-    if matrix_form and variant != "quasi":
-        from .spaces import SpaceSpec
-        flag = [SpaceSpec("spinor", (0, 0))] + \
-               [SpaceSpec("spinor", (mm, mm - 1)) for mm in range(1, k + 4)]
-        r = escape_constrained_rank(gens, flag, budget, k, True)
+    words = words_up_to_degree(gens, k + 1 if matrix_form else k)
+    if matrix_form:
+        mats = [m for m in (expand_matrix({w: ONE}, gens) for w in words)
+                if m.order() <= k]
+        if variant != "quasi":
+            from .spaces import SpaceSpec
+            flag = [SpaceSpec("spinor", (0, 0))] + \
+                   [SpaceSpec("spinor", (mm, mm - 1)) for mm in range(1, k + 4)]
+            mats = preserving_family(mats, flag)
+        r = rank(flatten_matrix_ops(mats))
     else:
-        words = words_up_to_degree(gens, budget)
         if variant != "quasi":
             v = {"exact": "total", "exact_x": "x", "exact_y": "y"}[variant]
             words = [w for w in words if word_is_exact(w, gens, v)]
-        if matrix_form:
-            mats = []
-            for w in words:
-                m = expand_matrix({w: ONE}, gens)
-                if m.order() <= k:
-                    mats.append(m)
-            r = rank(flatten_matrix_ops(mats))
-        else:
-            r = span_rank([expand_word(gens, w) for w in words])
+        r = span_rank([expand_word(gens, w) for w in words])
     if spec.algebra == "sl2q":
         r += 1    # the deformation parameter itself counts as free
     paper = paper_count(spec.algebra, k, variant, matrix_form, spec.r)
@@ -308,26 +279,25 @@ class EnvRelation:
 
     def residual(self, gens: GeneratorSet, params: dict) -> LinOperator:
         """LHS - RHS with products composed in the written order."""
-        flip = J_BODY_SIGN.get(gens.spec.algebra)
-        out = LinOperator.zero(gens.ctx)
-        for coeff, names in self.lhs:
-            c = coeff(params)
-            if flip:
-                c = c * Scalar((-1) ** sum(1 for nm in names if nm == flip))
-            out = out + gens.word_op(names).scale(c)
-        ident = LinOperator.identity(gens.ctx)
-        for coeff, name in self.rhs:
-            c = coeff(params)
-            if flip and name == flip:
-                c = -c
-            term = ident if name == "1" else gens.ops[name]
-            out = out - term.scale(c)
-        return out
+        alg = gens.spec.algebra
+        rel = Relation(self.label,
+                       [(body_signed(alg, coeff(params), names), names)
+                        for coeff, names in self.lhs],
+                       {name: body_signed(alg, coeff(params), (name,))
+                        for coeff, name in self.rhs})
+        return _evaluate_relation(rel, gens.word_op)
 
 
 # families whose catalogue entries were written with the opposite sign of
 # the named central generator
 J_BODY_SIGN = {"osp22": "J"}
+
+
+def body_signed(algebra: str, c: Scalar, names: Sequence[str]) -> Scalar:
+    """The coefficient c of a word in the body convention: negated when the
+    word holds an odd number of the family's J_BODY_SIGN generator."""
+    flip = J_BODY_SIGN.get(algebra)
+    return -c if flip and names.count(flip) % 2 else c
 
 
 def _n(p):

@@ -136,10 +136,6 @@ def _find_redex(w: Word, rs: RewriteSystem, strategy: str) -> int | None:
     return None
 
 
-def exprs_equal(a: FreeExpr, b: FreeExpr, rs: RewriteSystem) -> bool:
-    return not expr_sub(normal_order(a, rs), normal_order(b, rs))
-
-
 # --------------------------------------------------------------------------
 # rule tables
 
@@ -198,10 +194,3 @@ def two_pair_q_system(q: ScalarLike) -> RewriteSystem:
     }
     return RewriteSystem("two_pair_q", ("Q1", "Q2", "P1", "P2"), rules)
 
-
-SYSTEM_BUILDERS = {
-    "heisenberg": lambda q=None, pairs=1: heisenberg_system(pairs),
-    "q_heisenberg": lambda q=None, pairs=1: q_heisenberg_system(q),
-    "quantum_plane": lambda q=None, pairs=1: quantum_plane_system(q),
-    "two_pair_q": lambda q=None, pairs=1: two_pair_q_system(q),
-}

@@ -112,7 +112,6 @@ def verify_A4(n: int, grassmann: bool = False) -> dict:
         rhs = rhs + term
     out = {"id": "A4", "n": n, "grassmann": grassmann, "ok": lhs == rhs}
     if grassmann:
-        surviving = sorted(set(w for w in lhs.terms))
         out["surviving_terms"] = len(lhs.terms)
     return out
 
@@ -355,31 +354,27 @@ def heisenberg_embed_check(kind: str, n: int | Fraction,
     raise ValueError(f"unknown embedding {kind!r}")
 
 
+# catalogue id -> check, called with (n, q, r, k, grassmann)
+_IDENTITIES = {
+    "A1": lambda n, q, r, k, g: verify_A1(n),
+    "A2": lambda n, q, r, k, g: verify_A2([n]),
+    "A3": lambda n, q, r, k, g: verify_A3([n]),
+    "A4": lambda n, q, r, k, g: verify_A4(n, g),
+    "A5": lambda n, q, r, k, g: verify_A5(k, n),
+    "A6": lambda n, q, r, k, g: verify_A6(k, n),
+    "A7": lambda n, q, r, k, g: verify_A7(r, n),
+    "A8": lambda n, q, r, k, g: verify_A8(n, q),
+    "A9": lambda n, q, r, k, g: verify_A9(n, q),
+    "A10": lambda n, q, r, k, g: verify_A10(n, q),
+    "A12": lambda n, q, r, k, g: verify_A12(n, q),
+    "A14": lambda n, q, r, k, g: verify_A14(n, q),
+}
+IDENTITY_IDS = tuple(_IDENTITIES)
+
+
 def verify_identity(ident: str, n: int = 1, q: ScalarLike = 2,
                     r: int = 2, k: int = 3, grassmann: bool = False) -> dict:
     """Dispatch by catalogue id (budget limits enforced by the callers)."""
-    if ident == "A1":
-        return verify_A1(n)
-    if ident == "A2":
-        return verify_A2([n])
-    if ident == "A3":
-        return verify_A3([n])
-    if ident == "A4":
-        return verify_A4(n, grassmann)
-    if ident == "A5":
-        return verify_A5(k, n)
-    if ident == "A6":
-        return verify_A6(k, n)
-    if ident == "A7":
-        return verify_A7(r, n)
-    if ident == "A8":
-        return verify_A8(n, q)
-    if ident == "A9":
-        return verify_A9(n, q)
-    if ident == "A10":
-        return verify_A10(n, q)
-    if ident == "A12":
-        return verify_A12(n, q)
-    if ident == "A14":
-        return verify_A14(n, q)
-    raise ValueError(f"unknown identity id {ident!r}")
+    if ident not in _IDENTITIES:
+        raise ValueError(f"unknown identity id {ident!r}")
+    return _IDENTITIES[ident](n, q, r, k, grassmann)

@@ -1,16 +1,15 @@
 """Exact linear algebra over Scalar entries.
 
-Rank and determinant use fraction-free Bareiss elimination after clearing
-denominators, so the rational case runs on big integers with no pivot
-tolerance anywhere.  Solving and nullspace extraction use plain reduced
-echelon form; characteristic polynomials come from the trace recursion
+Rank uses fraction-free Bareiss elimination after clearing denominators, so
+the rational case runs on big integers with no pivot tolerance anywhere.
+Nullspace extraction uses plain reduced echelon form; characteristic polynomials come from the trace recursion
 (Faddeev-LeVerrier), which stays exact over the rationals.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .scalars import ONE, Scalar, ZERO
 
@@ -49,29 +48,6 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
         if r == nrows:
             break
     return r
-
-
-def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Exact determinant (Bareiss on the original, uncleared entries)."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    m = [list(row) for row in rows]
-    sign = ONE
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if piv is None:
-                return ZERO
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ZERO
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, List[int]]:
@@ -116,21 +92,6 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> Lis
             v[p] = -m[r][f]
         basis.append(v)
     return basis
-
-
-def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional[List[Scalar]]:
-    """One exact solution of A x = b, or None when inconsistent."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = m[r][ncols]
-    return x
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -22,7 +22,7 @@ from math import comb
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .poly import Poly, SuperPoly
-from .scalars import QParam, Scalar, ScalarLike, ZERO
+from .scalars import QParam, Scalar, ScalarLike
 
 DerivWord = Tuple[int, ...]
 
@@ -433,14 +433,6 @@ class MatrixOperator:
         e = self.entries
         return (f"MatrixOperator([[{e[0][0]}, {e[0][1]}],"
                 f" [{e[1][0]}, {e[1][1]}]])")
-
-
-def matrix_commutator(a: MatrixOperator, b: MatrixOperator) -> MatrixOperator:
-    return a * b - b * a
-
-
-def matrix_anticommutator(a: MatrixOperator, b: MatrixOperator) -> MatrixOperator:
-    return a * b + b * a
 
 
 def to_matrix_operator(op: LinOperator) -> MatrixOperator:

@@ -93,9 +93,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     def constant_value(self) -> Scalar:
         return self.terms.get((0,) * len(self.vars), ZERO)
 
@@ -235,16 +232,6 @@ class Poly:
                 e2[p] = k
             out[tuple(e2)] = c
         return Poly(vars, out, self.nil if nil is None else nil)
-
-    def evaluate(self, point: Mapping[str, ScalarLike]) -> Scalar:
-        out = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * Scalar.of(point[self.vars[i]]) ** k
-            out = out + v
-        return out
 
     def evaluate_float(self, point: Mapping[str, float]) -> complex:
         out = 0j

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .operators import (ContextMismatchError, LinOperator, MatrixOperator,
                         OpContext, compose, to_matrix_operator)
@@ -48,6 +48,10 @@ class RepSpec:
             raise ValueError("need k >= 2")
         if self.algebra == "sl2q" and self.q is None:
             raise ValueError("sl2q needs a deformation parameter")
+        if (self.algebra == "sl2q" and self.qn is None and self.q.b != ONE
+                and not (self.n.is_rational() and self.n.re.denominator == 1)):
+            raise ValueError("mark power q**n is not rational for a non-integer "
+                             "mark; pass qn= explicitly")
 
 
 @dataclass
@@ -80,45 +84,63 @@ class GeneratorSet:
     structure: List[Relation]
     grading_weight: int = 1     # total grading = deg_x + weight * deg_y
     notes: List[str] = field(default_factory=list)
+    _words: Dict[Tuple[str, ...], LinOperator] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def op(self, name: str) -> LinOperator:
         return self.ops[name]
 
-    def word_op(self, word: Sequence[str]) -> LinOperator:
-        out = LinOperator.identity(self.ctx)
-        for name in word:
-            out = compose(out, self.ops[name])
+    def word_op(self, names: Sequence[str]) -> LinOperator:
+        """Product of the named generators, composed left to right.
+
+        The one path from generator words to operators.  Products are
+        memoised per set, and a new word is its cached longest proper prefix
+        composed with its last generator.  The returned operators are shared,
+        so they must be treated as immutable.
+        """
+        key = tuple(names)
+        out = self._words.get(key)
+        if out is None:
+            out = (compose(self.word_op(key[:-1]), self.ops[key[-1]]) if key
+                   else LinOperator.identity(self.ctx))
+            self._words[key] = out
         return out
 
 
-def _evaluate_relation(rel: Relation, ops: Dict[str, object], ident):
-    """LHS - RHS of a relation over any operator algebra with +,-,*,scale."""
+def _evaluate_relation(rel: Relation, word: Callable[[Sequence[str]], object]):
+    """LHS - RHS of a relation, where word(names) is the product of the
+    named generators (and word(()) the identity) in some operator algebra."""
     total = None
-    for c, word in rel.lhs:
-        term = ident
-        for name in word:
-            term = term * ops[name]
-        term = term.scale(c)
+    for c, names in rel.lhs:
+        term = word(names).scale(c)
         total = term if total is None else total + term
     for g, c in rel.rhs.items():
-        term = ident.scale(c) if g == "1" else ops[g].scale(c)
+        term = word(() if g == "1" else (g,)).scale(c)
         total = -term if total is None else total - term
     return total
+
+
+def _product(ops: Dict[str, object], ident) -> Callable[[Sequence[str]], object]:
+    """Word products over an operator dict that is not a GeneratorSet's own
+    generators (the superalgebra's matrix images, rescaled generators)."""
+    def word(names: Sequence[str]):
+        term = ident
+        for name in names:
+            term = term * ops[name]
+        return term
+    return word
 
 
 def verify_structure(gens: GeneratorSet, matrix_form: bool = False) -> dict:
     """Expand every structure relation; failures are data, not exceptions."""
     if matrix_form:
-        if gens.spec.algebra != "osp22":
-            raise ContextMismatchError("matrix form exists only for the superalgebra")
-        ops = {name: to_matrix_operator(op) for name, op in gens.ops.items()}
         ident = MatrixOperator.identity(OpContext(gens.ctx.vars, q=gens.ctx.q))
+        word = _product(to_matrix_rep(gens), ident)
     else:
-        ops = dict(gens.ops)
-        ident = LinOperator.identity(gens.ctx)
+        word = gens.word_op
     rows = []
     for rel in gens.structure:
-        res = _evaluate_relation(rel, ops, ident)
+        res = _evaluate_relation(rel, word)
         ok = res.is_zero()
         rows.append({"label": rel.label, "form": rel.form, "ok": ok,
                      "residual": None if ok else repr(res)})
@@ -145,16 +167,9 @@ def _frac_sqrt(x: Fraction) -> Fraction | None:
 
 
 def _mark_power(spec: RepSpec) -> Scalar:
-    """q**n as an exact scalar: explicit override, or integer mark."""
-    if spec.qn is not None:
-        return spec.qn
-    q = spec.q.q
-    n = spec.n
-    if n.is_rational() and n.re.denominator == 1:
-        return q ** int(n.re)
-    raise ValueError(
-        "mark power q**n is not rational for a non-integer mark; "
-        "pass qn= explicitly")
+    """q**n as an exact scalar: explicit override, or integer mark (RepSpec
+    admits no other deformed spec)."""
+    return spec.qn if spec.qn is not None else spec.q.q ** int(spec.n.re)
 
 
 def _qint_from_power(t: Scalar, q: Scalar) -> Scalar:
@@ -170,7 +185,7 @@ GV = lambda a, b=0: (Fraction(a), Fraction(b))
 # --------------------------------------------------------------------------
 # individual families
 
-def _sl2_like_ops(ctx: OpContext, var: str, n: Scalar, theta_term: bool = False):
+def _sl2_like_ops(ctx: OpContext, var: str, n: Scalar):
     x = ctx.var(var)
     x2 = ctx.var(var, 2)
     d = LinOperator.deriv(ctx, var)
@@ -259,9 +274,9 @@ def _make_sl2q(spec: RepSpec) -> GeneratorSet:
                 Relation("j0j+ - q j+j0 = j+",
                          [(ONE, ("J0", "J+")), (-q, ("J+", "J0"))], {"J+": ONE}),
             ]
-            ident = LinOperator.identity(ctx)
+            word = _product(jr, LinOperator.identity(ctx))
             for rel in rescaled:
-                if not _evaluate_relation(rel, jr, ident).is_zero():
+                if not _evaluate_relation(rel, word).is_zero():
                     gens.notes.append(f"rescaled check FAILED: {rel.label}")
                     break
             else:
@@ -467,7 +482,7 @@ def _make_sl3(spec: RepSpec) -> GeneratorSet:
         "Jd": mul(y) * dy + (mul(x) * dx).scale(2) - LinOperator.identity(ctx).scale(n),
         "Jtd": (mul(y) * dy).scale(2) + mul(x) * dx - LinOperator.identity(ctx).scale(n),
     }
-    structure = _SL3_TABLE(n)
+    structure = _SL3_TABLE()
     return GeneratorSet(
         spec, ctx, ("J13", "J12", "J23", "J32", "Jd", "Jtd", "J31", "J21"),
         ops, {g: 0 for g in ops},
@@ -491,7 +506,7 @@ def _make_so3_nonflat(spec: RepSpec) -> GeneratorSet:
         "J2": mul(one + ctx.var("x", 2)) * dx + mul(x * y) * dy - mul(x).scale(n),
         "J3": mul(x) * dy - mul(y) * dx,
     }
-    structure = _SO3_TABLE(n)
+    structure = _SO3_TABLE()
     return GeneratorSet(spec, ctx, ("J1", "J2", "J3"), ops,
                         {g: 0 for g in ops},
                         {g: GV(0) for g in ops}, structure,
@@ -561,7 +576,7 @@ def _make_sl3_flag(spec: RepSpec) -> GeneratorSet:
 # --------------------------------------------------------------------------
 # frozen bracket tables (derived once by expansion, kept as regression data)
 
-def _SL3_TABLE(n: Scalar) -> List[Relation]:
+def _SL3_TABLE() -> List[Relation]:
     # all brackets turn out mark-independent
     table = [
         ("J13", "J12", {}),
@@ -596,7 +611,7 @@ def _SL3_TABLE(n: Scalar) -> List[Relation]:
     return [Relation.comm(f"[{a},{b}]", a, b, rhs) for a, b, rhs in table]
 
 
-def _SO3_TABLE(n: Scalar) -> List[Relation]:
+def _SO3_TABLE() -> List[Relation]:
     return [
         Relation.comm("[J1,J2]=J3", "J1", "J2", {"J3": 1}),
         Relation.comm("[J1,J3]=-J2", "J1", "J3", {"J2": -1}),

@@ -41,10 +41,6 @@ class Scalar:
         return value if isinstance(value, Scalar) else Scalar(value)
 
     @staticmethod
-    def i() -> "Scalar":
-        return Scalar(0, 1)
-
-    @staticmethod
     def parse(text: str) -> "Scalar":
         """Parse the canonical form "p/q" or "p/q+r/s*i" (also "-r/s*i")."""
         s = text.strip().replace(" ", "")
@@ -135,11 +131,6 @@ class Scalar:
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
-
-    def to_fraction(self) -> Fraction:
-        if self.im:
-            raise ValueError(f"{self} is not rational")
-        return self.re
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .classify import CoeffAssignment
-from .linalg import charpoly, eval_poly, nullspace
+from .linalg import charpoly, eval_poly
 from .operators import LinOperator, to_matrix_operator
 from .poly import Poly
 from .reps import RepSpec, make_rep
@@ -45,9 +45,6 @@ class Spectrum:
     roots: List[complex]
     labels: list
     trace_check: float              # relative consistency of numeric roots
-
-    def real_roots(self, tol: float = 1e-9) -> List[float]:
-        return sorted(r.real for r in self.roots if abs(r.imag) <= tol)
 
 
 def spectrum(result: ActionResult) -> Spectrum:
@@ -84,15 +81,6 @@ def exact_rational_eigenvalues(sp: Spectrum) -> List[Scalar]:
             seen.add(s.re)
             uniq.append(s)
     return uniq
-
-
-def exact_eigenvector(result: ActionResult, lam: Scalar) -> List[Scalar]:
-    rows = [[c - (lam if i == j else ZERO) for j, c in enumerate(row)]
-            for i, row in enumerate(result.matrix)]
-    basis = nullspace(rows)
-    if not basis:
-        raise ValueError(f"{lam} is not an eigenvalue")
-    return basis[0]
 
 
 # --------------------------------------------------------------------------

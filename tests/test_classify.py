@@ -3,17 +3,32 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.classify import (CoeffAssignment, classify_grading,
+from qeslab.classify import (CoeffAssignment, case_jobs, classify_grading,
                              coefficient_words, constrained_param_count,
                              find_rule, match_cases, rules_for,
                              sample_assignment, verify_case)
 from qeslab.enveloping import flatten_ops, words_up_to_degree
-from qeslab.linalg import solve
+from qeslab.linalg import rref
 from qeslab.reps import RepSpec, make_rep
 from qeslab.scalars import ONE, QParam, Scalar, ZERO
 from qeslab.spaces import SpaceSpec, action_matrix, preserves
 
 S = Scalar
+
+
+def solve(rows, rhs):
+    """One exact solution of A x = b, or None when inconsistent."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    m, pivots = rref(aug)
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = m[r][ncols]
+    return x
 
 
 def test_classify_grading_examples():
@@ -205,6 +220,32 @@ def test_rules_catalogue_size():
     assert len(rules_for(RepSpec("sl3"))) == 1
     assert len(rules_for(RepSpec("sl2xsl2"))) == 1
     assert len(rules_for(RepSpec("gl2_semi", r=3))) == 1
+
+
+def test_rules_for_returns_fresh_rules():
+    spec = RepSpec("osp22")
+    first = rules_for(spec)
+    want = [(r.id, repr(r.conclusions)) for r in first]
+    first[0].conclusions[0]["kind"] = "corrupted"
+    first[0].conclusions.append({"kind": "interval", "p": []})
+    first[1].conclusions.clear()
+    assert [(r.id, repr(r.conclusions)) for r in rules_for(spec)] == want
+    # the semidirect family names its top ideal coefficient after its width
+    rule = rules_for(RepSpec("gl2_semi", r=3))[0]
+    assert "c_4.8" in rule.requires_zero and "c_4.R" not in repr(rule)
+
+
+def test_case_jobs_pinned():
+    # the criterion-04 sweep at its seed: 32 rules x 3 marks
+    jobs = list(case_jobs(random.Random(20240901)))
+    assert len(jobs) == 96
+    assert [s.algebra for s, _, _, t in jobs if t == 0] == \
+        ["sl2", "sl2q"] + ["osp22"] * 27 + ["sl3", "sl2xsl2", "gl2_semi"]
+    spec, rule, params, t = jobs[0]
+    assert (rule.id, spec.n, params, t) == ("Lemma1.3", S(8), {"n": S(8), "m": S(4)}, 0)
+    spec, rule, params, t = jobs[-1]
+    assert (rule.id, spec.algebra, spec.r, t) == ("Lemma4.12", "gl2_semi", 2, 2)
+    assert params == {"n": S(6), "m": S(5), "N": 1}
 
 
 def test_exact_classification_implies_exact_shape():

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
+from qeslab import cli
 from qeslab.cli import run_command
 
 
@@ -36,6 +38,85 @@ def test_usage_error_exit_code(capsys):
     assert run_command(["no-such-command"]) == 2
     assert run_command(["param-count"]) == 2          # missing --algebra
     assert run_command(["parse", "--op", "x +"]) == 2  # syntax error
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "verify", "--algebra", "sl2", "--n", "abc"],
+    ["rep", "verify", "--algebra", "gl2_semi", "--r", "0"],
+    ["rep", "verify", "--algebra", "sl2q", "--q", "0"],
+    ["rep", "verify", "--algebra", "sl2q", "--n", "1/2", "--q", "3"],
+    ["invariance", "--space", "tri:x", "--op", "Dx"],
+    ["invariance", "--space", "cube:3", "--op", "Dx"],
+    ["grading", "--algebra", "sl2", "--word", "J+,K"],
+    ["reduce", "--sextic", "n=1,k=0"],
+    ["matrix-example", "--alpha", "2", "--beta", "x", "--n", "1"],
+    ["identity", "--id", "A12", "--n", "two"],
+])
+def test_bad_input_is_a_usage_error(argv, capsys):
+    assert run_command(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["schema"] == 1 and "internal" not in err
+
+
+def test_bad_choice_is_rejected_by_the_parser(capsys):
+    assert run_command(["identity", "--id", "A99"]) == 2
+    assert run_command(["param-count", "--algebra", "sl2", "--degree", "3"]) == 2
+
+
+def test_unknown_coefficient_name_is_a_usage_error(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps({"c_nope": "1"}))
+    assert run_command(["classify", "--algebra", "sl2", "--n", "4",
+                        "--coeffs", str(coeffs)]) == 2
+    assert "c_nope" in json.loads(capsys.readouterr().err)["error"]
+    assert run_command(["classify", "--algebra", "sl2", "--n", "4",
+                        "--coeffs", str(tmp_path / "missing.json")]) == 2
+
+
+def test_internal_failure_exit_code(monkeypatch, capsys):
+    # an error raised inside a computation is not a usage error
+    def broken(args, rng):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "shapes", broken)
+    assert run_command(["verify", "--suite", "shapes"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert "boom" in err.pop("traceback")
+    assert err == {"schema": 1, "error": "ValueError: boom", "internal": True,
+                   "stage": "verify shapes"}
+
+
+def test_internal_failure_names_the_command(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("J9")
+
+    monkeypatch.setattr(cli, "verify_structure", broken)
+    assert run_command(["rep", "verify", "--algebra", "sl2", "--n", "3"]) == 3
+    assert json.loads(capsys.readouterr().err)["stage"] == "rep verify"
+
+
+# sha256 of each report at the default seed, taken before the word-expansion
+# paths were merged; any change to a report's bytes must be explained
+REPORT_DIGESTS = {
+    ("verify", "--suite", "structure"):
+        "a96e6b77c8c608d6f70066cd57086513106dfe3c64134453dd9fbf491e2c7d99",
+    ("verify", "--suite", "relations"):
+        "230b5860a432e1762f9e019e49834096fef45e96217aea6536d5c8d8eeee5e7f",
+    ("verify", "--suite", "identities"):
+        "af94f3a5c352e58beff539355fbb8ab74a57aae2d5556ba6b787e187570efb59",
+    ("verify", "--suite", "shapes"):
+        "725bf444debe721d65cd8539b4993ec3effeec9d03c349d329106d7a12d67384",
+    ("burnside", "--degree", "4"):
+        "00ea4e9081aa48a6e482e8502ba26656909fbfd3205f3ea04953b86c6a263377",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_report_digests_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    path = tmp_path / "report.json"
+    assert run_command(list(argv) + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
 
 
 def test_spectrum_command(capsys):

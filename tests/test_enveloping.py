@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from qeslab.enveloping import (burnside_span_rank, coefficient_shape_check,
-                               expand, expand_word, grading, make_word,
-                               param_count, verify_relations, word_is_exact,
-                               words_up_to_degree)
-from qeslab.operators import LinOperator
-from qeslab.reps import RepSpec, make_rep
+                               expand, expand_matrix, expand_word, grading,
+                               make_word, param_count, verify_relations,
+                               word_is_exact, words_up_to_degree)
+from qeslab.operators import LinOperator, MatrixOperator, OpContext
+from qeslab.reps import RepSpec, make_rep, to_matrix_rep
 from qeslab.scalars import ONE, QParam, Scalar
 from qeslab.spaces import SpaceSpec, action_matrix
 
@@ -30,6 +30,18 @@ def test_expand_linear():
     w2 = make_word(g, ("J0", "J0"))
     lhs = expand({w1: Scalar(2), w2: Scalar(-3)}, g)
     assert lhs == expand({w1: Scalar(2)}, g) + expand({w2: Scalar(-3)}, g)
+
+
+def test_expand_matrix_is_the_product_of_matrix_images():
+    # the matrix transcription is an algebra map: transcribing a word's
+    # operator equals multiplying the generators' 2x2 images
+    g = make_rep(RepSpec("osp22", n=Scalar(Fraction(5, 2))))
+    mats = to_matrix_rep(g)
+    for w in words_up_to_degree(g, 2):
+        want = MatrixOperator.identity(OpContext(g.ctx.vars))
+        for name, e in w:
+            want = want * mats[name] ** e
+        assert expand_matrix({w: Scalar(3)}, g) == want.scale(3), w
 
 
 def test_grading_examples():

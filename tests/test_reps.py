@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.operators import LinOperator, commutator
+from qeslab.operators import LinOperator, commutator, compose
 from qeslab.reps import (ALGEBRAS, RepSpec, make_rep, root_of_unity_generators,
                          to_matrix_rep, verify_structure)
 from qeslab.scalars import DegenerateQError, QParam, Scalar
@@ -123,19 +123,39 @@ def test_rotation_family_closure():
     assert commutator(g.op("J1"), g.op("J2")) == g.op("J3")
 
 
+SPECS = {
+    "sl2": RepSpec("sl2", n=Scalar(1)),
+    "sl2q": RepSpec("sl2q", n=Scalar(1), q=QParam(2)),
+    "osp22": RepSpec("osp22", n=Scalar(1)),
+    "sl3": RepSpec("sl3", n=Scalar(1)),
+    "sl2xsl2": RepSpec("sl2xsl2", n=Scalar(1), m=Scalar(1)),
+    "gl2_semi": RepSpec("gl2_semi", n=Scalar(1), r=2),
+    "so3_nonflat": RepSpec("so3_nonflat", n=Scalar(1)),
+    "so_k1": RepSpec("so_k1", n=Scalar(1), k=2),
+    "sl3_flag": RepSpec("sl3_flag", n=Scalar(1), m=Scalar(1)),
+}
+
+
 def test_every_algebra_tag_constructs():
-    specs = {
-        "sl2": RepSpec("sl2", n=Scalar(1)),
-        "sl2q": RepSpec("sl2q", n=Scalar(1), q=QParam(2)),
-        "osp22": RepSpec("osp22", n=Scalar(1)),
-        "sl3": RepSpec("sl3", n=Scalar(1)),
-        "sl2xsl2": RepSpec("sl2xsl2", n=Scalar(1), m=Scalar(1)),
-        "gl2_semi": RepSpec("gl2_semi", n=Scalar(1), r=2),
-        "so3_nonflat": RepSpec("so3_nonflat", n=Scalar(1)),
-        "so_k1": RepSpec("so_k1", n=Scalar(1), k=2),
-        "sl3_flag": RepSpec("sl3_flag", n=Scalar(1), m=Scalar(1)),
-    }
-    assert set(specs) == set(ALGEBRAS)
-    for spec in specs.values():
+    assert set(SPECS) == set(ALGEBRAS)
+    for spec in SPECS.values():
         gens = make_rep(spec)
         assert gens.names and all(name in gens.ops for name in gens.names)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_word_op_is_the_left_to_right_product(algebra):
+    # every word of degree <= 2, in both name orders, against an explicit
+    # compose chain; the memo must hand back equal operators and leave the
+    # generators alone
+    spec = SPECS[algebra]
+    gens = make_rep(spec)
+    words = [()] + [(a,) for a in gens.names] + \
+        [(a, b) for a in gens.names for b in gens.names]
+    for word in words:
+        want = LinOperator.identity(gens.ctx)
+        for name in word:
+            want = compose(want, gens.ops[name])
+        assert gens.word_op(word) == want, word
+        assert gens.word_op(list(word)) == want, word
+    assert gens.ops == make_rep(spec).ops
