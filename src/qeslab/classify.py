@@ -22,7 +22,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .enveloping import body_signed, grading, word_is_exact
+from .enveloping import body_signed, expand, grading, word_is_exact
+from .freealg import FreeExpr, Word
 from .linalg import nullspace, rank
 from .operators import LinOperator
 from .reps import GeneratorSet, RepSpec, make_rep
@@ -32,7 +33,7 @@ from .spaces import SpaceSpec, action_matrix
 # --------------------------------------------------------------------------
 # coefficient bases: name -> generator word (composed in the printed order)
 
-OSP_WORDS: Dict[str, Tuple[str, ...]] = {
+OSP_WORDS: Dict[str, Word] = {
     "c_++": ("T+", "T+"), "c_+0": ("T+", "T0"), "c_+-": ("T+", "T-"),
     "c_0-": ("T0", "T-"), "c_--": ("T-", "T-"),
     "c_+J": ("T+", "J"), "c_0J": ("T0", "J"), "c_-J": ("T-", "J"),
@@ -44,14 +45,14 @@ OSP_WORDS: Dict[str, Tuple[str, ...]] = {
     "c": (),
 }
 
-SL2_WORDS: Dict[str, Tuple[str, ...]] = {
+SL2_WORDS: Dict[str, Word] = {
     "c_++": ("J+", "J+"), "c_+0": ("J+", "J0"), "c_+-": ("J+", "J-"),
     "c_0-": ("J0", "J-"), "c_--": ("J-", "J-"),
     "c_+": ("J+",), "c_0": ("J0",), "c_-": ("J-",), "c": (),
 }
 
 
-def coefficient_words(spec: RepSpec) -> Dict[str, Tuple[str, ...]]:
+def coefficient_words(spec: RepSpec) -> Dict[str, Word]:
     """The named second-order coefficient basis of one algebra family."""
     if spec.algebra == "osp22":
         return dict(OSP_WORDS)
@@ -59,7 +60,7 @@ def coefficient_words(spec: RepSpec) -> Dict[str, Tuple[str, ...]]:
         return dict(SL2_WORDS)
     if spec.algebra == "sl3":
         tags = ["13", "12", "23", "32", "d", "td", "31", "21"]
-        out: Dict[str, Tuple[str, ...]] = {}
+        out: Dict[str, Word] = {}
         for i, a in enumerate(tags):
             for b in tags[i:]:
                 out[f"c_{a}.{b}"] = (f"J{a}", f"J{b}")
@@ -114,15 +115,11 @@ class CoeffAssignment:
 
     def operator(self, gens: GeneratorSet | None = None) -> LinOperator:
         gens = gens or make_rep(self.spec)
-        words = coefficient_words(self.spec)
-        out = LinOperator.zero(gens.ctx)
-        for name, c in self.values.items():
-            word = words[name]
-            c = body_signed(self.spec.algebra, c, word)
-            out = out + gens.word_op(word).scale(c)
-        return out
+        return expand(body_signed(self.spec.algebra, self.env_words()), gens)
 
-    def env_words(self) -> Dict[Tuple[str, ...], Scalar]:
+    def env_words(self) -> FreeExpr:
+        """The assignment as an enveloping-algebra element, in the body
+        convention of the coefficient names."""
         words = coefficient_words(self.spec)
         return {words[name]: c for name, c in self.values.items()}
 
@@ -161,9 +158,7 @@ def classify_grading(assignment: CoeffAssignment, gens: GeneratorSet | None = No
     sub: Dict[str, bool] = {v: True for v in subkind_names}
     zero_total = True
     zero_vector = True
-    for word_names, c in assignment.env_words().items():
-        word = tuple((nm, word_names.count(nm)) for nm in gens.names
-                     if nm in word_names)
+    for word in assignment.env_words():
         gx, gy, tot = grading(word, gens)
         if tot != 0:
             zero_total = False
@@ -172,7 +167,7 @@ def classify_grading(assignment: CoeffAssignment, gens: GeneratorSet | None = No
         if not word_is_exact(word, gens):
             all_exact = False
             if tot > 0:
-                positive.append("*".join(word_names) if word_names else "1")
+                positive.append("*".join(word) if word else "1")
         for v in subkind_names:
             if not word_is_exact(word, gens, v):
                 sub[v] = False

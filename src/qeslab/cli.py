@@ -308,6 +308,7 @@ def cmd_matrix_example(args) -> int:
 def cmd_identity(args) -> int:
     with _bad_input("bad --n or --q"):
         n, q = int(args.n or 1), Fraction(args.q) if args.q else 2
+        QParam(q)
     rep = verify_identity(args.id, n=n, q=q, r=args.r, k=args.k,
                           grassmann=args.grassmann)
     rep.pop("remainder_terms", None)

@@ -1,11 +1,13 @@
-"""Ordered-word calculus over a generator family.
+"""Enveloping-algebra elements over a generator family.
 
-EnvWords are exponent vectors over a family's generators in its fixed global
-order (raising, Cartan, lowering, odd generators at most once); EnvPolys map
-words to scalars and expand to canonical operators by composition.  The
-module also carries the representation-specific quadratic relation tables,
-grading bookkeeping, exact parameter counts by rank, and coefficient degree
-profiles.
+A word is a tuple of generator names in product order, and an element of the
+enveloping algebra is a ``freealg.FreeExpr`` mapping words to scalars; it
+expands to a canonical operator through ``GeneratorSet.word_op``.  Canonical
+words list their names in the family's fixed global order (raising, Cartan,
+lowering, odd generators at most once).  The module also carries the
+quadratic relation tables of each representation (``reps.Relation``s at a
+concrete mark), grading bookkeeping, exact parameter counts by rank, and
+coefficient degree profiles.
 
 A sign convention note, once and centrally: the central even generator of the
 superalgebra family is stored with the sign that makes its abstract bracket
@@ -21,19 +23,17 @@ carry ``as_printed=False``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from .freealg import FreeExpr, Word
 from .linalg import rank
 from .operators import LinOperator, MatrixOperator, to_matrix_operator
 from .poly import SuperPoly
 from .reps import GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep
-from .scalars import ONE, QParam, Scalar, ScalarLike, ZERO, nhat, qnumber
-
-EnvWord = Tuple[Tuple[str, int], ...]   # ((name, exponent), ...) in global order
-EnvPoly = Dict[EnvWord, Scalar]
+from .scalars import ONE, Scalar, ZERO, nhat, qnumber
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -42,70 +42,53 @@ class UnknownGeneratorError(KeyError):
     pass
 
 
-def make_word(gens: GeneratorSet, names: Sequence[str]) -> EnvWord:
-    """Canonical ordered word from a list of generator names."""
-    counts: Dict[str, int] = {}
+def make_word(gens: GeneratorSet, names: Sequence[str]) -> Word:
+    """Canonical word: the names sorted into the family's global order."""
     for nm in names:
         if nm not in gens.ops:
             raise UnknownGeneratorError(nm)
-        counts[nm] = counts.get(nm, 0) + 1
-    for nm, c in counts.items():
-        if gens.parity[nm] and c > 1:
-            return ()   # odd generator squared: the zero word, dropped by caller
-    return tuple((nm, counts[nm]) for nm in gens.names if nm in counts)
+        if gens.parity[nm] and names.count(nm) > 1:
+            raise ValueError(f"odd generator {nm} repeated: the word is zero")
+    return tuple(sorted(names, key=gens.names.index))
 
 
-def expand_word(gens: GeneratorSet, word: EnvWord) -> LinOperator:
-    return gens.word_op(word_names(word))
+def expand_word(gens: GeneratorSet, word: Word) -> LinOperator:
+    return gens.word_op(word)
 
 
-def expand(p: EnvPoly, gens: GeneratorSet) -> LinOperator:
+def expand(p: FreeExpr, gens: GeneratorSet) -> LinOperator:
     """Canonical operator of an enveloping-algebra element."""
     out = LinOperator.zero(gens.ctx)
     for word, c in p.items():
-        out = out + expand_word(gens, word).scale(c)
+        out = out + gens.word_op(word).scale(c)
     return out
 
 
-def expand_matrix(p: EnvPoly, gens: GeneratorSet) -> MatrixOperator:
+def expand_matrix(p: FreeExpr, gens: GeneratorSet) -> MatrixOperator:
     """Two-component image of an element of the superalgebra family (the
     matrix transcription is an algebra map, so it is applied once at the end)."""
     return to_matrix_operator(expand(p, gens))
 
 
-def grading(word: EnvWord, gens: GeneratorSet) -> Tuple[Fraction, Fraction, Fraction]:
-    """(deg_x, deg_y, total) of an ordered word; total is weight-adjusted."""
+def grading(word: Word, gens: GeneratorSet) -> Tuple[Fraction, Fraction, Fraction]:
+    """(deg_x, deg_y, total) of a word; total is weight-adjusted."""
     gx = gy = Fraction(0)
-    for name, e in word:
+    for name in word:
         vx, vy = gens.grading[name]
-        gx += e * vx
-        gy += e * vy
+        gx += vx
+        gy += vy
     return gx, gy, gx + gens.grading_weight * gy
-
-
-def word_names(word: EnvWord) -> List[str]:
-    out = []
-    for name, e in word:
-        out.extend([name] * e)
-    return out
 
 
 # --------------------------------------------------------------------------
 # word enumeration
 
-def words_up_to_degree(gens: GeneratorSet, k: int) -> List[EnvWord]:
-    """All canonical ordered words of degree <= k (odd exponents capped at 1)."""
-    out: List[EnvWord] = []
-    names = gens.names
-    for deg in range(k + 1):
-        for combo in combinations_with_replacement(names, deg):
-            counts: Dict[str, int] = {}
-            for nm in combo:
-                counts[nm] = counts.get(nm, 0) + 1
-            if any(gens.parity[nm] and c > 1 for nm, c in counts.items()):
-                continue
-            out.append(tuple((nm, counts[nm]) for nm in names if nm in counts))
-    return out
+def words_up_to_degree(gens: GeneratorSet, k: int) -> List[Word]:
+    """All canonical words of degree <= k (odd generators at most once)."""
+    odd = [nm for nm in gens.names if gens.parity[nm]]
+    return [w for deg in range(k + 1)
+            for w in combinations_with_replacement(gens.names, deg)
+            if all(w.count(nm) < 2 for nm in odd)]
 
 
 # --------------------------------------------------------------------------
@@ -145,14 +128,14 @@ def span_rank(ops: Sequence[LinOperator]) -> int:
 # --------------------------------------------------------------------------
 # exact-solvability word filters
 
-def word_is_exact(word: EnvWord, gens: GeneratorSet, variant: str = "total") -> bool:
+def word_is_exact(word: Word, gens: GeneratorSet, variant: str = "total") -> bool:
     """No positive grading; the superalgebra exempts +1/2 words carrying a
     lowering odd generator (variant is 'total', 'x', or 'y')."""
     gx, gy, tot = grading(word, gens)
     if gens.spec.algebra == "osp22":
         if tot <= 0:
             return True
-        has_q = any(nm in ("Q1", "Q2") for nm, _ in word)
+        has_q = "Q1" in word or "Q2" in word
         return tot == Fraction(1, 2) and has_q
     g = {"total": tot, "x": gx, "y": gy}[variant]
     return g <= 0
@@ -258,230 +241,164 @@ def param_count(spec: RepSpec, k: int, variant: str = "quasi",
 # --------------------------------------------------------------------------
 # quadratic relation catalogue
 #
-# Each entry: (label, lhs, rhs, as_printed) with lhs a list of
-# (coeff(n[,m,r,q]), word-names) and rhs a list over generator names or "1".
-# Coefficients are functions of the instantiated parameter dict.
-
-Coeff = Callable[[dict], Scalar]
-
-
-def _c(v: ScalarLike) -> Coeff:
-    s = Scalar.of(v)
-    return lambda p: s
-
-
-@dataclass
-class EnvRelation:
-    label: str
-    lhs: List[Tuple[Coeff, Tuple[str, ...]]]
-    rhs: List[Tuple[Coeff, str]]
-    as_printed: bool = True
-
-    def residual(self, gens: GeneratorSet, params: dict) -> LinOperator:
-        """LHS - RHS with products composed in the written order."""
-        alg = gens.spec.algebra
-        rel = Relation(self.label,
-                       [(body_signed(alg, coeff(params), names), names)
-                        for coeff, names in self.lhs],
-                       {name: body_signed(alg, coeff(params), (name,))
-                        for coeff, name in self.rhs})
-        return _evaluate_relation(rel, gens.word_op)
-
+# Each table is instantiated at the marks of one spec, as (coefficient, word)
+# terms of each side with () the constant word 1, and is written in the body
+# convention of the catalogue.
 
 # families whose catalogue entries were written with the opposite sign of
 # the named central generator
 J_BODY_SIGN = {"osp22": "J"}
 
 
-def body_signed(algebra: str, c: Scalar, names: Sequence[str]) -> Scalar:
-    """The coefficient c of a word in the body convention: negated when the
-    word holds an odd number of the family's J_BODY_SIGN generator."""
+def body_signed(algebra: str, p: FreeExpr) -> FreeExpr:
+    """An element written in the body convention, in the stored one: the
+    coefficient of every word holding an odd number of the family's
+    J_BODY_SIGN generator is negated."""
     flip = J_BODY_SIGN.get(algebra)
-    return -c if flip and names.count(flip) % 2 else c
+    if flip is None:
+        return p
+    return {w: -c if w.count(flip) % 2 else c for w, c in p.items()}
 
 
-def _n(p):
-    return Scalar.of(p["n"])
-
-
-def _m(p):
-    return Scalar.of(p["m"])
-
-
-def osp22_relations() -> List[EnvRelation]:
-    n = _n
+def osp22_relations(spec: RepSpec) -> List[Relation]:
+    n, R = spec.n, Relation.of
     return [
-        EnvRelation("2T+J - Qb1Q2 = nT+",
-                    [(lambda p: Scalar(2), ("T+", "J")), (_c(-1), ("Qb1", "Q2"))],
-                    [(n, "T+")]),
-        EnvRelation("T+Q1 - T0Q2 = -(n/2+1)Q2",
-                    [(_c(1), ("T+", "Q1")), (_c(-1), ("T0", "Q2"))],
-                    [(lambda p: -(n(p) * HALF + ONE), "Q2")], as_printed=False),
-        EnvRelation("T+Qb2 + T0Qb1 = (1-n)/2 Qb1",
-                    [(_c(1), ("T+", "Qb2")), (_c(1), ("T0", "Qb1"))],
-                    [(lambda p: (ONE - n(p)) * HALF, "Qb1")]),
-        EnvRelation("JQ2 = n/2 Q2",
-                    [(_c(1), ("J", "Q2"))], [(lambda p: n(p) * HALF, "Q2")]),
-        EnvRelation("JQb1 = (n+1)/2 Qb1",
-                    [(_c(1), ("J", "Qb1"))],
-                    [(lambda p: (n(p) + ONE) * HALF, "Qb1")]),
-        EnvRelation("T+T- - T0T0 - JJ + T0 = -(n/2)(n+1)",
-                    [(_c(1), ("T+", "T-")), (_c(-1), ("T0", "T0")),
-                     (_c(-1), ("J", "J")), (_c(1), ("T0",))],
-                    [(lambda p: -(n(p) * HALF) * (n(p) + ONE), "1")],
-                    as_printed=False),
-        EnvRelation("JJ = (n+1/2)J - (n/4)(n+1)",
-                    [(_c(1), ("J", "J"))],
-                    [(lambda p: n(p) + HALF, "J"),
-                     (lambda p: -(n(p) / Scalar(4)) * (n(p) + ONE), "1")]),
-        EnvRelation("Q1Qb1 + Q2Qb2 - 2nJ = -n(n+1)",
-                    [(_c(1), ("Q1", "Qb1")), (_c(1), ("Q2", "Qb2")),
-                     (lambda p: Scalar(-2) * n(p), ("J",))],
-                    [(lambda p: -n(p) * (n(p) + ONE), "1")]),
-        EnvRelation("2T0J + Q1Qb1 - (n+1)T0 - nJ = -(n/2)(n+1)",
-                    [(_c(2), ("T0", "J")), (_c(1), ("Q1", "Qb1")),
-                     (lambda p: -(n(p) + ONE), ("T0",)),
-                     (lambda p: -n(p), ("J",))],
-                    [(lambda p: -(n(p) * HALF) * (n(p) + ONE), "1")]),
-        EnvRelation("T-Q2 - T0Q1 = (n/2+1)Q1",
-                    [(_c(1), ("T-", "Q2")), (_c(-1), ("T0", "Q1"))],
-                    [(lambda p: n(p) * HALF + ONE, "Q1")]),
-        EnvRelation("T-Qb1 + T0Qb2 = (n-1)/2 Qb2",
-                    [(_c(1), ("T-", "Qb1")), (_c(1), ("T0", "Qb2"))],
-                    [(lambda p: (n(p) - ONE) * HALF, "Qb2")], as_printed=False),
-        EnvRelation("JQ1 = n/2 Q1",
-                    [(_c(1), ("J", "Q1"))], [(lambda p: n(p) * HALF, "Q1")]),
-        EnvRelation("JQb2 = (n+1)/2 Qb2",
-                    [(_c(1), ("J", "Qb2"))],
-                    [(lambda p: (n(p) + ONE) * HALF, "Qb2")]),
-        EnvRelation("2JT- - Q1Qb2 = (n+1)T-",
-                    [(_c(2), ("J", "T-")), (_c(-1), ("Q1", "Qb2"))],
-                    [(lambda p: n(p) + ONE, "T-")]),
+        R("2T+J - Qb1Q2 = nT+", [(2, ("T+", "J")), (-1, ("Qb1", "Q2"))], [(n, ("T+",))]),
+        R("T+Q1 - T0Q2 = -(n/2+1)Q2", [(1, ("T+", "Q1")), (-1, ("T0", "Q2"))],
+          [(-(n * HALF + ONE), ("Q2",))], as_printed=False),
+        R("T+Qb2 + T0Qb1 = (1-n)/2 Qb1", [(1, ("T+", "Qb2")), (1, ("T0", "Qb1"))],
+          [((ONE - n) * HALF, ("Qb1",))]),
+        R("JQ2 = n/2 Q2", [(1, ("J", "Q2"))], [(n * HALF, ("Q2",))]),
+        R("JQb1 = (n+1)/2 Qb1", [(1, ("J", "Qb1"))], [((n + ONE) * HALF, ("Qb1",))]),
+        R("T+T- - T0T0 - JJ + T0 = -(n/2)(n+1)",
+          [(1, ("T+", "T-")), (-1, ("T0", "T0")), (-1, ("J", "J")), (1, ("T0",))],
+          [(-(n * HALF) * (n + ONE), ())], as_printed=False),
+        R("JJ = (n+1/2)J - (n/4)(n+1)", [(1, ("J", "J"))],
+          [(n + HALF, ("J",)), (-(n / Scalar(4)) * (n + ONE), ())]),
+        R("Q1Qb1 + Q2Qb2 - 2nJ = -n(n+1)",
+          [(1, ("Q1", "Qb1")), (1, ("Q2", "Qb2")), (Scalar(-2) * n, ("J",))],
+          [(-n * (n + ONE), ())]),
+        R("2T0J + Q1Qb1 - (n+1)T0 - nJ = -(n/2)(n+1)",
+          [(2, ("T0", "J")), (1, ("Q1", "Qb1")), (-(n + ONE), ("T0",)), (-n, ("J",))],
+          [(-(n * HALF) * (n + ONE), ())]),
+        R("T-Q2 - T0Q1 = (n/2+1)Q1", [(1, ("T-", "Q2")), (-1, ("T0", "Q1"))],
+          [(n * HALF + ONE, ("Q1",))]),
+        R("T-Qb1 + T0Qb2 = (n-1)/2 Qb2", [(1, ("T-", "Qb1")), (1, ("T0", "Qb2"))],
+          [((n - ONE) * HALF, ("Qb2",))], as_printed=False),
+        R("JQ1 = n/2 Q1", [(1, ("J", "Q1"))], [(n * HALF, ("Q1",))]),
+        R("JQb2 = (n+1)/2 Qb2", [(1, ("J", "Qb2"))], [((n + ONE) * HALF, ("Qb2",))]),
+        R("2JT- - Q1Qb2 = (n+1)T-", [(2, ("J", "T-")), (-1, ("Q1", "Qb2"))],
+          [(n + ONE, ("T-",))]),
     ]
 
 
-def sl3_relations() -> List[EnvRelation]:
-    n = _n
+def sl3_relations(spec: RepSpec) -> List[Relation]:
+    n, R = spec.n, Relation.of
+    three = Scalar(3)
     return [
-        EnvRelation("J12Jd - 2J12Jtd - 3J13J32 = nJ12",
-                    [(_c(1), ("J12", "Jd")), (_c(-2), ("J12", "Jtd")),
-                     (_c(-3), ("J13", "J32"))], [(n, "J12")]),
-        EnvRelation("J13Jtd - 2J13Jd - 3J12J23 = nJ13",
-                    [(_c(1), ("J13", "Jtd")), (_c(-2), ("J13", "Jd")),
-                     (_c(-3), ("J12", "J23"))], [(n, "J13")]),
-        EnvRelation("J32Jd + J32Jtd - 3J12J31 = (n+3)J32",
-                    [(_c(1), ("J32", "Jd")), (_c(1), ("J32", "Jtd")),
-                     (_c(-3), ("J12", "J31"))], [(lambda p: n(p) + Scalar(3), "J32")]),
-        EnvRelation("J23Jd + J23Jtd - 3J13J21 = (n+3)J23",
-                    [(_c(1), ("J23", "Jd")), (_c(1), ("J23", "Jtd")),
-                     (_c(-3), ("J13", "J21"))], [(lambda p: n(p) + Scalar(3), "J23")]),
-        EnvRelation("3(J12J21 + J13J31 + J32J23) + JdJd + JtdJtd - JdJtd = 3Jd + 3n + n^2",
-                    [(_c(3), ("J12", "J21")), (_c(3), ("J13", "J31")),
-                     (_c(3), ("J32", "J23")), (_c(1), ("Jd", "Jd")),
-                     (_c(1), ("Jtd", "Jtd")), (_c(-1), ("Jd", "Jtd"))],
-                    [(_c(3), "Jd"), (lambda p: Scalar(3) * n(p) + n(p) * n(p), "1")]),
-        EnvRelation("2JdJd + 2JtdJtd - 5JdJtd + 9J32J23 = (n+6)Jd + (n-3)Jtd + n^2 + 3n",
-                    [(_c(2), ("Jd", "Jd")), (_c(2), ("Jtd", "Jtd")),
-                     (_c(-5), ("Jd", "Jtd")), (_c(9), ("J32", "J23"))],
-                    [(lambda p: n(p) + Scalar(6), "Jd"),
-                     (lambda p: n(p) - Scalar(3), "Jtd"),
-                     (lambda p: n(p) * n(p) + Scalar(3) * n(p), "1")]),
-        EnvRelation("JdJd - JtdJtd + 3(J12J21 - J13J31) = (n+3)(Jd - Jtd)",
-                    [(_c(1), ("Jd", "Jd")), (_c(-1), ("Jtd", "Jtd")),
-                     (_c(3), ("J12", "J21")), (_c(-3), ("J13", "J31"))],
-                    [(lambda p: n(p) + Scalar(3), "Jd"),
-                     (lambda p: -(n(p) + Scalar(3)), "Jtd")]),
-        EnvRelation("JdJ21 - 2JtdJ21 - 3J23J31 = nJ21",
-                    [(_c(1), ("Jd", "J21")), (_c(-2), ("Jtd", "J21")),
-                     (_c(-3), ("J23", "J31"))], [(n, "J21")]),
-        EnvRelation("JtdJ31 - 2JdJ31 - 3J32J21 = nJ31",
-                    [(_c(1), ("Jtd", "J31")), (_c(-2), ("Jd", "J31")),
-                     (_c(-3), ("J32", "J21"))], [(n, "J31")]),
+        R("J12Jd - 2J12Jtd - 3J13J32 = nJ12",
+          [(1, ("J12", "Jd")), (-2, ("J12", "Jtd")), (-3, ("J13", "J32"))],
+          [(n, ("J12",))]),
+        R("J13Jtd - 2J13Jd - 3J12J23 = nJ13",
+          [(1, ("J13", "Jtd")), (-2, ("J13", "Jd")), (-3, ("J12", "J23"))],
+          [(n, ("J13",))]),
+        R("J32Jd + J32Jtd - 3J12J31 = (n+3)J32",
+          [(1, ("J32", "Jd")), (1, ("J32", "Jtd")), (-3, ("J12", "J31"))],
+          [(n + three, ("J32",))]),
+        R("J23Jd + J23Jtd - 3J13J21 = (n+3)J23",
+          [(1, ("J23", "Jd")), (1, ("J23", "Jtd")), (-3, ("J13", "J21"))],
+          [(n + three, ("J23",))]),
+        R("3(J12J21 + J13J31 + J32J23) + JdJd + JtdJtd - JdJtd = 3Jd + 3n + n^2",
+          [(3, ("J12", "J21")), (3, ("J13", "J31")), (3, ("J32", "J23")),
+           (1, ("Jd", "Jd")), (1, ("Jtd", "Jtd")), (-1, ("Jd", "Jtd"))],
+          [(3, ("Jd",)), (three * n + n * n, ())]),
+        R("2JdJd + 2JtdJtd - 5JdJtd + 9J32J23 = (n+6)Jd + (n-3)Jtd + n^2 + 3n",
+          [(2, ("Jd", "Jd")), (2, ("Jtd", "Jtd")), (-5, ("Jd", "Jtd")),
+           (9, ("J32", "J23"))],
+          [(n + Scalar(6), ("Jd",)), (n - three, ("Jtd",)), (n * n + three * n, ())]),
+        R("JdJd - JtdJtd + 3(J12J21 - J13J31) = (n+3)(Jd - Jtd)",
+          [(1, ("Jd", "Jd")), (-1, ("Jtd", "Jtd")), (3, ("J12", "J21")),
+           (-3, ("J13", "J31"))],
+          [(n + three, ("Jd",)), (-(n + three), ("Jtd",))]),
+        R("JdJ21 - 2JtdJ21 - 3J23J31 = nJ21",
+          [(1, ("Jd", "J21")), (-2, ("Jtd", "J21")), (-3, ("J23", "J31"))],
+          [(n, ("J21",))]),
+        R("JtdJ31 - 2JdJ31 - 3J32J21 = nJ31",
+          [(1, ("Jtd", "J31")), (-2, ("Jd", "J31")), (-3, ("J32", "J21"))],
+          [(n, ("J31",))]),
     ]
 
 
-def sl2xsl2_relations() -> List[EnvRelation]:
-    n, m = _n, _m
-    return [
-        EnvRelation("Jx+Jx- - Jx0Jx0 + Jx0 = -(n/2)(n/2+1)",
-                    [(_c(1), ("Jx+", "Jx-")), (_c(-1), ("Jx0", "Jx0")),
-                     (_c(1), ("Jx0",))],
-                    [(lambda p: -(n(p) * HALF) * (n(p) * HALF + ONE), "1")]),
-        EnvRelation("Jy+Jy- - Jy0Jy0 + Jy0 = -(m/2)(m/2+1)",
-                    [(_c(1), ("Jy+", "Jy-")), (_c(-1), ("Jy0", "Jy0")),
-                     (_c(1), ("Jy0",))],
-                    [(lambda p: -(m(p) * HALF) * (m(p) * HALF + ONE), "1")]),
-    ]
+def _sl2_casimir(label: str, n: Scalar, p: str, z: str, m: str) -> Relation:
+    """J+J- - J0J0 + J0 = -(n/2)(n/2+1) over the named sl2 triple."""
+    return Relation.of(label, [(1, (p, m)), (-1, (z, z)), (1, (z,))],
+                       [(-(n * HALF) * (n * HALF + ONE), ())])
 
 
-def gl2_semi_relations(r: int) -> List[EnvRelation]:
-    n3 = lambda p: Scalar.of(p["n"]) / Scalar(3)
+def sl2_relations(spec: RepSpec) -> List[Relation]:
+    return [_sl2_casimir("J+J- - J0J0 + J0 = -(n/2)(n/2+1)", spec.n, "J+", "J0", "J-")]
+
+
+def sl2xsl2_relations(spec: RepSpec) -> List[Relation]:
+    return [_sl2_casimir("Jx+Jx- - Jx0Jx0 + Jx0 = -(n/2)(n/2+1)", spec.n,
+                         "Jx+", "Jx0", "Jx-"),
+            _sl2_casimir("Jy+Jy- - Jy0Jy0 + Jy0 = -(m/2)(m/2+1)", spec.m,
+                         "Jy+", "Jy0", "Jy-")]
+
+
+def gl2_semi_relations(spec: RepSpec) -> List[Relation]:
+    r, R = spec.r, Relation.of
+    n3 = spec.n / Scalar(3)
     rels = [
-        EnvRelation("J2J5 - J1J6 + (n/3+1)J5 = 0",
-                    [(_c(1), ("J2", "J5")), (_c(-1), ("J1", "J6")),
-                     (lambda p: n3(p) + ONE, ("J5",))], [], as_printed=False),
-        EnvRelation("J1J4 - J2J2 - rJ2J3 - J2 - r(n/3+1)J3 = -(n/3)(n/3+1)",
-                    [(_c(1), ("J1", "J4")), (_c(-1), ("J2", "J2")),
-                     (_c(-r), ("J2", "J3")), (_c(-1), ("J2",)),
-                     (lambda p: Scalar(-r) * (n3(p) + ONE), ("J3",))],
-                    [(lambda p: -n3(p) * (n3(p) + ONE), "1")]),
+        R("J2J5 - J1J6 + (n/3+1)J5 = 0",
+          [(1, ("J2", "J5")), (-1, ("J1", "J6")), (n3 + ONE, ("J5",))], as_printed=False),
+        R("J1J4 - J2J2 - rJ2J3 - J2 - r(n/3+1)J3 = -(n/3)(n/3+1)",
+          [(1, ("J1", "J4")), (-1, ("J2", "J2")), (-r, ("J2", "J3")), (-1, ("J2",)),
+           (Scalar(-r) * (n3 + ONE), ("J3",))],
+          [(-n3 * (n3 + ONE), ())]),
     ]
     for i in range(r):
-        rels.append(EnvRelation(
+        rels.append(R(
             f"J2J{6 + i} + rJ3J{6 + i} - J4J{5 + i} - (n/3+1)J{6 + i} = 0",
-            [(_c(1), ("J2", f"J{6 + i}")), (_c(r), ("J3", f"J{6 + i}")),
-             (_c(-1), ("J4", f"J{5 + i}")),
-             (lambda p: -(n3(p) + ONE), (f"J{6 + i}",))], []))
+            [(1, ("J2", f"J{6 + i}")), (r, ("J3", f"J{6 + i}")),
+             (-1, ("J4", f"J{5 + i}")), (-(n3 + ONE), (f"J{6 + i}",))]))
     for i in range(r - 1):
-        rels.append(EnvRelation(
+        rels.append(R(
             f"J1J{7 + i} - J2J{6 + i} - (n/3+1)J{6 + i} = 0",
-            [(_c(1), ("J1", f"J{7 + i}")), (_c(-1), ("J2", f"J{6 + i}")),
-             (lambda p: -(n3(p) + ONE), (f"J{6 + i}",))], []))
+            [(1, ("J1", f"J{7 + i}")), (-1, ("J2", f"J{6 + i}")),
+             (-(n3 + ONE), (f"J{6 + i}",))]))
     for i in range(2 * r - 1):
         pairs = [(a, 2 + i - a) for a in range(min(r, 2 + i) + 1)
                  if 0 <= 2 + i - a <= r and a <= 2 + i - a]
         for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
-            rels.append(EnvRelation(
-                f"J{5 + a1}J{5 + b1} = J{5 + a2}J{5 + b2}",
-                [(_c(1), (f"J{5 + a1}", f"J{5 + b1}")),
-                 (_c(-1), (f"J{5 + a2}", f"J{5 + b2}"))], []))
+            rels.append(R(f"J{5 + a1}J{5 + b1} = J{5 + a2}J{5 + b2}",
+                          [(1, (f"J{5 + a1}", f"J{5 + b1}")),
+                           (-1, (f"J{5 + a2}", f"J{5 + b2}"))]))
     return rels
 
 
-def sl2q_casimir_relation(q: QParam) -> EnvRelation:
+def sl2q_relations(spec: RepSpec) -> List[Relation]:
     """q J+J- - J0J0 + ({n+1} - 2nhat) J0 = nhat (nhat - {n+1})."""
-    b = q.b
-
-    def qn1(p):
-        return qnumber(int(Scalar.of(p["n"]).re) + 1, q)
-
-    def nh(p):
-        return nhat(int(Scalar.of(p["n"]).re), q)
-
-    return EnvRelation(
+    n, q = int(spec.n.re), spec.q
+    qn1, nh = qnumber(n + 1, q), nhat(n, q)
+    return [Relation.of(
         "q J+J- - J0J0 + ({n+1}-2nhat)J0 = nhat(nhat-{n+1})",
-        [(_c(b), ("J+", "J-")), (_c(-1), ("J0", "J0")),
-         (lambda p: qn1(p) - Scalar(2) * nh(p), ("J0",))],
-        [(lambda p: nh(p) * (nh(p) - qn1(p)), "1")])
+        [(q.b, ("J+", "J-")), (-1, ("J0", "J0")), (qn1 - Scalar(2) * nh, ("J0",))],
+        [(nh * (nh - qn1), ())])]
 
 
-def relation_table(spec: RepSpec) -> List[EnvRelation]:
-    if spec.algebra == "osp22":
-        return osp22_relations()
-    if spec.algebra == "sl3":
-        return sl3_relations()
-    if spec.algebra == "sl2xsl2":
-        return sl2xsl2_relations()
-    if spec.algebra == "gl2_semi":
-        return gl2_semi_relations(spec.r)
-    if spec.algebra == "sl2q":
-        return [sl2q_casimir_relation(spec.q)]
-    if spec.algebra == "sl2":
-        return [EnvRelation(
-            "J+J- - J0J0 + J0 = -(n/2)(n/2+1)",
-            [(_c(1), ("J+", "J-")), (_c(-1), ("J0", "J0")), (_c(1), ("J0",))],
-            [(lambda p: -(_n(p) * HALF) * (_n(p) * HALF + ONE), "1")])]
-    return []
+RELATION_TABLES = {"osp22": osp22_relations, "sl3": sl3_relations,
+                   "sl2xsl2": sl2xsl2_relations, "gl2_semi": gl2_semi_relations,
+                   "sl2q": sl2q_relations, "sl2": sl2_relations}
+
+
+def relation_table(spec: RepSpec) -> List[Relation]:
+    """The quadratic relations of a representation at its marks, in the
+    stored sign convention (empty where none are catalogued)."""
+    table = RELATION_TABLES.get(spec.algebra)
+    if table is None:
+        return []
+    return [replace(rel, expr=body_signed(spec.algebra, rel.expr)) for rel in table(spec)]
 
 
 def verify_relations(spec: RepSpec, n_values: Sequence[Scalar] | None = None,
@@ -499,9 +416,8 @@ def verify_relations(spec: RepSpec, n_values: Sequence[Scalar] | None = None,
         m = Scalar(Fraction(rng.randint(-12, 24), rng.choice([1, 2, 3])))
         sp = RepSpec(spec.algebra, n=n, m=m, q=spec.q, r=spec.r, k=spec.k)
         gens = make_rep(sp)
-        params = {"n": n, "m": m, "r": spec.r}
         for rel in relation_table(sp):
-            diff = rel.residual(gens, params)
+            diff = _evaluate_relation(rel, gens.word_op)
             ok = diff.is_zero()
             rows.append({"label": rel.label, "n": str(n), "m": str(m),
                          "as_printed": rel.as_printed, "ok": ok,

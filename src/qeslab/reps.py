@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from .freealg import FreeExpr, Word, expr
 from .operators import (ContextMismatchError, LinOperator, MatrixOperator,
                         OpContext, compose, to_matrix_operator)
-from .scalars import ONE, QParam, Scalar, ScalarLike, DegenerateQError, qnumber
+from .scalars import ONE, ZERO, QParam, Scalar, ScalarLike, DegenerateQError, qnumber
 
 ALGEBRAS = ("sl2", "sl2q", "osp22", "sl3", "sl2xsl2", "gl2_semi",
             "so3_nonflat", "so_k1", "sl3_flag")
@@ -48,29 +49,40 @@ class RepSpec:
             raise ValueError("need k >= 2")
         if self.algebra == "sl2q" and self.q is None:
             raise ValueError("sl2q needs a deformation parameter")
-        if (self.algebra == "sl2q" and self.qn is None and self.q.b != ONE
-                and not (self.n.is_rational() and self.n.re.denominator == 1)):
-            raise ValueError("mark power q**n is not rational for a non-integer "
-                             "mark; pass qn= explicitly")
+        if self.algebra == "sl2q" and self.q.b != ONE:
+            if self.qn is None and not (self.n.is_rational()
+                                        and self.n.re.denominator == 1):
+                raise ValueError("mark power q**n is not rational for a "
+                                 "non-integer mark; pass qn= explicitly")
+            if (ONE + self.q.b * _mark_power(self)).is_zero():
+                raise DegenerateQError(f"{{2n+2}} vanishes at q={self.q.q}, "
+                                       f"mark {self.n}")
 
 
 @dataclass
 class Relation:
-    """sum_i c_i * (product of named generators) == sum_g d_g * g + d_1 * 1."""
+    """A relation LHS = RHS between products of named generators, held as
+    the one free-algebra element LHS - RHS (the empty word stands for 1)."""
     label: str
-    lhs: List[Tuple[Scalar, Tuple[str, ...]]]
-    rhs: Dict[str, Scalar]
+    expr: FreeExpr
     form: str = "printed"
+    as_printed: bool = True
+
+    @classmethod
+    def of(cls, label: str, lhs: Sequence[Tuple[ScalarLike, Word]],
+           rhs: Sequence[Tuple[ScalarLike, Word]] = (), **kw) -> "Relation":
+        """From the (coefficient, word) terms of each side."""
+        return cls(label, expr(*lhs, *((-Scalar.of(c), w) for c, w in rhs)), **kw)
 
     @classmethod
     def comm(cls, label: str, a: str, b: str, rhs: Dict[str, ScalarLike]) -> "Relation":
-        return cls(label, [(ONE, (a, b)), (-ONE, (b, a))],
-                   {g: Scalar.of(c) for g, c in rhs.items()})
+        return cls.of(label, [(1, (a, b)), (-1, (b, a))],
+                      [(c, (g,)) for g, c in rhs.items()])
 
     @classmethod
     def anti(cls, label: str, a: str, b: str, rhs: Dict[str, ScalarLike]) -> "Relation":
-        return cls(label, [(ONE, (a, b)), (ONE, (b, a))],
-                   {g: Scalar.of(c) for g, c in rhs.items()})
+        return cls.of(label, [(1, (a, b)), (1, (b, a))],
+                      [(c, (g,)) for g, c in rhs.items()])
 
 
 @dataclass
@@ -107,16 +119,12 @@ class GeneratorSet:
         return out
 
 
-def _evaluate_relation(rel: Relation, word: Callable[[Sequence[str]], object]):
-    """LHS - RHS of a relation, where word(names) is the product of the
-    named generators (and word(()) the identity) in some operator algebra."""
-    total = None
-    for c, names in rel.lhs:
-        term = word(names).scale(c)
-        total = term if total is None else total + term
-    for g, c in rel.rhs.items():
-        term = word(() if g == "1" else (g,)).scale(c)
-        total = -term if total is None else total - term
+def _evaluate_relation(rel: Relation, word: Callable[[Word], object]):
+    """LHS - RHS of a relation, where word(w) is the product of the named
+    generators (and word(()) the identity) in some operator algebra."""
+    total = word(()).scale(ZERO)
+    for w, c in rel.expr.items():
+        total = total + word(w).scale(c)
     return total
 
 
@@ -167,9 +175,9 @@ def _frac_sqrt(x: Fraction) -> Fraction | None:
 
 
 def _mark_power(spec: RepSpec) -> Scalar:
-    """q**n as an exact scalar: explicit override, or integer mark (RepSpec
-    admits no other deformed spec)."""
-    return spec.qn if spec.qn is not None else spec.q.q ** int(spec.n.re)
+    """b**n at the effective base b as an exact scalar: explicit override, or
+    integer mark (RepSpec admits no other deformed spec)."""
+    return spec.qn if spec.qn is not None else spec.q.b ** int(spec.n.re)
 
 
 def _qint_from_power(t: Scalar, q: Scalar) -> Scalar:
@@ -224,12 +232,9 @@ def _make_sl2q(spec: RepSpec) -> GeneratorSet:
         lam = Scalar(2)
         notes = ["base 1: classical limit branch"]
     else:
-        t = _mark_power(spec) if qp.base == "single" else _mark_power(
-            RepSpec("sl2q", n=spec.n, q=QParam(q), qn=spec.qn))
+        t = _mark_power(spec)
         nq = _qint_from_power(t, q)           # {n}
-        one_qt = ONE + q * t                  # {2n+2}/{n+1}
-        if one_qt.is_zero():
-            raise DegenerateQError(f"{{2n+2}} vanishes at q={qp.q}, mark {spec.n}")
+        one_qt = ONE + q * t                  # {2n+2}/{n+1}, nonzero by RepSpec
         nh = nq / one_qt                      # {n}{n+1}/{2n+2}
         kappa = t * (q + ONE) / one_qt        # the cleared Cartan constant
         lam = one_qt
@@ -239,15 +244,15 @@ def _make_sl2q(spec: RepSpec) -> GeneratorSet:
     # cleared form of the deformed bracket table: multiply the rescaled
     # relations through by q^(n/2) factors, which cancels every irrationality
     structure = [
-        Relation("q J0J- - J-J0 = -kappa J-",
-                 [(q, ("J0", "J-")), (-ONE, ("J-", "J0"))],
-                 {"J-": -kappa}, form="cleared"),
-        Relation("q^2 J+J- - J-J+ = -lambda J0",
-                 [(q * q, ("J+", "J-")), (-ONE, ("J-", "J+"))],
-                 {"J0": -lam}, form="cleared"),
-        Relation("J0J+ - q J+J0 = kappa J+",
-                 [(ONE, ("J0", "J+")), (-q, ("J+", "J0"))],
-                 {"J+": kappa}, form="cleared"),
+        Relation.of("q J0J- - J-J0 = -kappa J-",
+                    [(q, ("J0", "J-")), (-1, ("J-", "J0"))],
+                    [(-kappa, ("J-",))], form="cleared"),
+        Relation.of("q^2 J+J- - J-J+ = -lambda J0",
+                    [(q * q, ("J+", "J-")), (-1, ("J-", "J+"))],
+                    [(-lam, ("J0",))], form="cleared"),
+        Relation.of("J0J+ - q J+J0 = kappa J+",
+                    [(1, ("J0", "J+")), (-q, ("J+", "J0"))],
+                    [(kappa, ("J+",))], form="cleared"),
     ]
     gens = GeneratorSet(
         spec, ctx, ("J+", "J0", "J-"),
@@ -266,13 +271,13 @@ def _make_sl2q(spec: RepSpec) -> GeneratorSet:
             jr = {"J+": jp.scale(sc.inv()), "J-": gens.ops["J-"].scale(sc.inv()),
                   "J0": j0.scale(c0)}
             rescaled = [
-                Relation("q j0j- - j-j0 = -j-",
-                         [(q, ("J0", "J-")), (-ONE, ("J-", "J0"))], {"J-": -ONE}),
-                Relation("q^2 j+j- - j-j+ = -(q+1) j0",
-                         [(q * q, ("J+", "J-")), (-ONE, ("J-", "J+"))],
-                         {"J0": -(q + ONE)}),
-                Relation("j0j+ - q j+j0 = j+",
-                         [(ONE, ("J0", "J+")), (-q, ("J+", "J0"))], {"J+": ONE}),
+                Relation.of("q j0j- - j-j0 = -j-",
+                            [(q, ("J0", "J-")), (-1, ("J-", "J0"))], [(-1, ("J-",))]),
+                Relation.of("q^2 j+j- - j-j+ = -(q+1) j0",
+                            [(q * q, ("J+", "J-")), (-1, ("J-", "J+"))],
+                            [(-(q + ONE), ("J0",))]),
+                Relation.of("j0j+ - q j+j0 = j+",
+                            [(1, ("J0", "J+")), (-q, ("J+", "J0"))], [(1, ("J+",))]),
             ]
             word = _product(jr, LinOperator.identity(ctx))
             for rel in rescaled:
@@ -315,12 +320,12 @@ def _make_osp22(spec: RepSpec) -> GeneratorSet:
         Relation.comm("[J,T-]=0", "J", "T-", {}),
         Relation.anti("{Q1,Qb2}=-T-", "Q1", "Qb2", {"T-": -1}),
         Relation.anti("{Q2,Qb1}=T+", "Q2", "Qb1", {"T+": 1}),
-        Relation("({Qb1,Q1}+{Qb2,Q2})/2=J",
-                 [(half, ("Qb1", "Q1")), (half, ("Q1", "Qb1")),
-                  (half, ("Qb2", "Q2")), (half, ("Q2", "Qb2"))], {"J": ONE}),
-        Relation("({Qb1,Q1}-{Qb2,Q2})/2=T0",
-                 [(half, ("Qb1", "Q1")), (half, ("Q1", "Qb1")),
-                  (-half, ("Qb2", "Q2")), (-half, ("Q2", "Qb2"))], {"T0": ONE}),
+        Relation.of("({Qb1,Q1}+{Qb2,Q2})/2=J",
+                    [(half, ("Qb1", "Q1")), (half, ("Q1", "Qb1")),
+                     (half, ("Qb2", "Q2")), (half, ("Q2", "Qb2"))], [(1, ("J",))]),
+        Relation.of("({Qb1,Q1}-{Qb2,Q2})/2=T0",
+                    [(half, ("Qb1", "Q1")), (half, ("Q1", "Qb1")),
+                     (-half, ("Qb2", "Q2")), (-half, ("Q2", "Qb2"))], [(1, ("T0",))]),
         Relation.anti("{Q1,Q1}=0", "Q1", "Q1", {}),
         Relation.anti("{Q2,Q2}=0", "Q2", "Q2", {}),
         Relation.anti("{Q1,Q2}=0", "Q1", "Q2", {}),
@@ -679,8 +684,6 @@ def _SL3_FLAG_TABLE() -> List[Relation]:
     # Serre relations: ad(e1)^2 e2 = 0 etc.; [e1,e2] and [f1,f2] are the
     # extra root generators, outside the six-name span
     for a, b in (("e1", "e2"), ("e2", "e1"), ("f1", "f2"), ("f2", "f1")):
-        rels.append(Relation(
-            f"[{a},[{a},{b}]]=0",
-            [(ONE, (a, a, b)), (Scalar(-2), (a, b, a)), (ONE, (b, a, a))],
-            {}))
+        rels.append(Relation.of(f"[{a},[{a},{b}]]=0",
+                                [(1, (a, a, b)), (-2, (a, b, a)), (1, (b, a, a))]))
     return rels

@@ -141,10 +141,8 @@ def sextic_potential(n: int, k: int, a, b, zgrid: Sequence[float]) -> List[float
     c6 = a * a
     c4 = Scalar(2) * a * b
     c2 = b * b - Scalar(4 * n + 3 + 2 * k) * a
-    return [float((c6 * Scalar(Fraction(z).limit_denominator(10 ** 12)) ** 6
-                   + c4 * Scalar(Fraction(z).limit_denominator(10 ** 12)) ** 4
-                   + c2 * Scalar(Fraction(z).limit_denominator(10 ** 12)) ** 2).re)
-            for z in zgrid]
+    return [float((c6 * s ** 6 + c4 * s ** 4 + c2 * s ** 2).re)
+            for s in (Scalar(Fraction(z).limit_denominator(10 ** 12)) for z in zgrid)]
 
 
 # --------------------------------------------------------------------------
@@ -253,10 +251,8 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
             return 0.5 * (a + b)
 
     if zgrid is None:
-        zl = z_of_x(lo + (hi - lo) * 1e-3) if not linear else 2.0 * math.sqrt(
-            max(lo, (hi - lo) * 1e-6) / float(p4.coefficient_of(p4.vars[0], 1).constant_value().re))
-        zh = z_of_x(hi - (hi - lo) * 1e-3) if not linear else 2.0 * math.sqrt(
-            (hi - (hi - lo) * 1e-3) / float(p4.coefficient_of(p4.vars[0], 1).constant_value().re))
+        zl = z_of_x(max(lo, (hi - lo) * 1e-6) if linear else lo + (hi - lo) * 1e-3)
+        zh = z_of_x(hi - (hi - lo) * 1e-3)
         count = max(5, int((zh - zl) / spacing))
         zgrid = [zl + i * (zh - zl) / count for i in range(count + 1)]
     zgrid = list(zgrid)

@@ -51,6 +51,9 @@ def test_usage_error_exit_code(capsys):
     ["reduce", "--sextic", "n=1,k=0"],
     ["matrix-example", "--alpha", "2", "--beta", "x", "--n", "1"],
     ["identity", "--id", "A12", "--n", "two"],
+    ["grading", "--algebra", "osp22", "--word", "Q2,Q2"],
+    ["rep", "verify", "--algebra", "sl2q", "--n", "2", "--q", "-1"],
+    ["identity", "--id", "A8", "--q", "0"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert run_command(argv) == 2
@@ -117,6 +120,35 @@ def test_report_digests_pinned(argv, tmp_path, monkeypatch):
     path = tmp_path / "report.json"
     assert run_command(list(argv) + ["--json", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+# superalgebra reports, pinned the same way; the classify fixture holds
+# J words and matches rule III.1.1, so the J body sign (which decides
+# confirmed_spaces) and positive_words are pinned too
+CLASSIFY_COEFFS = {"c_+0": "1", "c_+J": "-1", "c_+": "1", "c_+1": "1", "c_2": "1",
+                   "c_0J": "-1/3", "c_J": "5", "c_-": "3", "c": "7/2"}
+OSP22_DIGESTS = {
+    ("rep", "verify", "--algebra", "osp22", "--n", "3"):
+        "976bc44a740c920380ae0f1c4868d122ad928f8dec6afa1a4e20aa9b2a67560d",
+    ("param-count", "--algebra", "osp22", "--n", "7/2", "--k", "2", "--matrix",
+     "--variant", "exact"):
+        "c992c5913664646d8318a2386237f36a816be4b9d2a3612cf188765dfd1b05c0",
+    ("grading", "--algebra", "osp22", "--word", "T+,J,Q1"):
+        "01f7e1d3e623464da6a4fa829265302497f55fc19ef43de11445e378b9018d51",
+    ("classify", "--algebra", "osp22", "--n", "3", "--coeffs", "COEFFS"):
+        "b2e0315aca6490d441afc28f8ab07a7ac87e1491c8ded3d7d013581bd31cad76",
+}
+
+
+@pytest.mark.parametrize("argv", list(OSP22_DIGESTS), ids=lambda argv: argv[0])
+def test_osp22_report_digests_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(CLASSIFY_COEFFS))
+    path = tmp_path / "report.json"
+    args = [str(coeffs) if a == "COEFFS" else a for a in argv]
+    assert run_command(args + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OSP22_DIGESTS[argv]
 
 
 def test_spectrum_command(capsys):

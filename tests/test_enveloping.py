@@ -1,14 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qeslab.enveloping import (burnside_span_rank, coefficient_shape_check,
                                expand, expand_matrix, expand_word, grading,
-                               make_word, param_count, verify_relations,
-                               word_is_exact, words_up_to_degree)
+                               make_word, param_count, relation_table,
+                               verify_relations, word_is_exact,
+                               words_up_to_degree)
 from qeslab.operators import LinOperator, MatrixOperator, OpContext
-from qeslab.reps import RepSpec, make_rep, to_matrix_rep
+from qeslab.reps import RepSpec, _evaluate_relation, make_rep, to_matrix_rep
 from qeslab.scalars import ONE, QParam, Scalar
 from qeslab.spaces import SpaceSpec, action_matrix
 
@@ -39,9 +41,19 @@ def test_expand_matrix_is_the_product_of_matrix_images():
     mats = to_matrix_rep(g)
     for w in words_up_to_degree(g, 2):
         want = MatrixOperator.identity(OpContext(g.ctx.vars))
-        for name, e in w:
-            want = want * mats[name] ** e
+        for name in w:
+            want = want * mats[name]
         assert expand_matrix({w: Scalar(3)}, g) == want.scale(3), w
+
+
+def test_repeated_odd_generator_is_the_zero_word():
+    g = make_rep(RepSpec("osp22", n=Scalar(3)))
+    with pytest.raises(ValueError, match="Q1"):
+        make_word(g, ("Q1", "Q1"))
+    with pytest.raises(ValueError, match="Qb2"):
+        make_word(g, ("Qb2", "T+", "Qb2"))
+    assert g.word_op(("Q1", "Q1")).is_zero()
+    assert make_word(g, ("Q1", "J", "T+")) == ("T+", "J", "Q1")
 
 
 def test_grading_examples():
@@ -74,6 +86,24 @@ def test_relation_suites_pass():
                  RepSpec("sl2q", q=QParam(2))):
         rep = verify_relations(spec, seed=13)
         assert rep["ok"], rep
+
+
+@pytest.mark.parametrize("spec", [
+    RepSpec("sl2", n=Scalar(3)),
+    RepSpec("sl2q", n=Scalar(3), q=QParam(2)),
+    RepSpec("osp22", n=Scalar(Fraction(5, 2))),
+    RepSpec("sl3", n=Scalar(3)),
+    RepSpec("sl2xsl2", n=Scalar(3), m=Scalar(2)),
+    RepSpec("gl2_semi", n=Scalar(Fraction(7, 2)), r=2),
+], ids=lambda spec: spec.algebra)
+def test_relation_tables_are_built_at_the_mark(spec):
+    # negative control: a table built at mark n holds at n and leaves a
+    # residual at n+1, so it cannot have been built at a family default
+    rels = relation_table(spec)
+    here = make_rep(spec)
+    shifted = make_rep(replace(spec, n=spec.n + ONE))
+    assert all(_evaluate_relation(rel, here.word_op).is_zero() for rel in rels)
+    assert any(not _evaluate_relation(rel, shifted.word_op).is_zero() for rel in rels)
 
 
 def test_relation_suite_taxonomy():
