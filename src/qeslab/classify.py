@@ -28,7 +28,7 @@ from .linalg import nullspace, rank
 from .operators import LinOperator
 from .reps import GeneratorSet, RepSpec, make_rep
 from .scalars import ONE, QParam, Scalar, ZERO, nhat, qnumber
-from .spaces import SpaceSpec, action_matrix
+from .spaces import SpaceSpec, _decompose, action_matrix, enumerate_basis
 
 # --------------------------------------------------------------------------
 # coefficient bases: name -> generator word (composed in the printed order)
@@ -368,11 +368,9 @@ def _check_unbounded_even(op: LinOperator, con: dict, spec: RepSpec,
     for N in (max(n0, M) + 3, max(n0, M) + 5):
         small = SpaceSpec("spinor", (N, M))
         big = SpaceSpec("spinor", (N + 2, M))
-        from .spaces import enumerate_basis
         idx = {lab: i for i, lab in enumerate(big.labels())}
         for mono in enumerate_basis(small, op.ctx):
             image = op.apply_poly(mono)
-            from .spaces import _decompose
             _, outside = _decompose(image, big, op.ctx, idx)
             if outside:
                 return False
@@ -481,7 +479,8 @@ def sample_assignment(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
             if w.is_zero():
                 continue
             for nm, c in zip(names, v):
-                coeffs[nm] = coeffs[nm] + w * c
+                if not c.is_zero():
+                    coeffs[nm] = coeffs[nm] + w * c
         if all(not coeffs[nm].is_zero() for nm in rule.requires_nonzero):
             return CoeffAssignment(spec, coeffs)
     raise RuntimeError(f"could not sample a nondegenerate assignment for {rule.id}")

@@ -32,8 +32,9 @@ from .freealg import FreeExpr, Word
 from .linalg import rank
 from .operators import LinOperator, MatrixOperator, to_matrix_operator
 from .poly import SuperPoly
-from .reps import GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep
-from .scalars import ONE, Scalar, ZERO, nhat, qnumber
+from .reps import (GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep,
+                   sl2q_constants)
+from .scalars import ONE, Scalar, ZERO
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -379,11 +380,10 @@ def gl2_semi_relations(spec: RepSpec) -> List[Relation]:
 
 def sl2q_relations(spec: RepSpec) -> List[Relation]:
     """q J+J- - J0J0 + ({n+1} - 2nhat) J0 = nhat (nhat - {n+1})."""
-    n, q = int(spec.n.re), spec.q
-    qn1, nh = qnumber(n + 1, q), nhat(n, q)
+    _, qn1, nh, _, _ = sl2q_constants(spec)
     return [Relation.of(
         "q J+J- - J0J0 + ({n+1}-2nhat)J0 = nhat(nhat-{n+1})",
-        [(q.b, ("J+", "J-")), (-1, ("J0", "J0")), (qn1 - Scalar(2) * nh, ("J0",))],
+        [(spec.q.b, ("J+", "J-")), (-1, ("J0", "J0")), (qn1 - Scalar(2) * nh, ("J0",))],
         [(nh * (nh - qn1), ())])]
 
 

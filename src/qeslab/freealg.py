@@ -165,32 +165,29 @@ def q_heisenberg_system(b: ScalarLike) -> RewriteSystem:
                          {("P", "Q"): expr((b, ("Q", "P")), (1, ()))})
 
 
-def quantum_plane_system(q: ScalarLike) -> RewriteSystem:
-    """x y = q y x with the deformed two-variable difference calculus."""
+QUANTUM_PLANE = ("x", "y", "Dx", "Dy")
+TWO_PAIR = ("Q1", "Q2", "P1", "P2")
+
+
+def quantum_plane_system(q: ScalarLike,
+                         symbols: Tuple[str, str, str, str] = QUANTUM_PLANE) -> RewriteSystem:
+    """x y = q y x with the deformed two-variable difference calculus, spelt
+    in the given (x, y, Dx, Dy) symbols."""
+    x, y, dx, dy = symbols
     q = Scalar.of(q)
     q2 = q * q
     rules = {
-        ("y", "x"): expr((q.inv(), ("x", "y"))),
-        ("Dx", "x"): expr((1, ()), (q2, ("x", "Dx")), (q2 - ONE, ("y", "Dy"))),
-        ("Dx", "y"): expr((q, ("y", "Dx"))),
-        ("Dy", "x"): expr((q, ("x", "Dy"))),
-        ("Dy", "y"): expr((1, ()), (q2, ("y", "Dy"))),
-        ("Dy", "Dx"): expr((q, ("Dx", "Dy"))),
+        (y, x): expr((q.inv(), (x, y))),
+        (dx, x): expr((1, ()), (q2, (x, dx)), (q2 - ONE, (y, dy))),
+        (dx, y): expr((q, (y, dx))),
+        (dy, x): expr((q, (x, dy))),
+        (dy, y): expr((1, ()), (q2, (y, dy))),
+        (dy, dx): expr((q, (dx, dy))),
     }
-    return RewriteSystem("quantum_plane", ("x", "y", "Dx", "Dy"), rules)
+    return RewriteSystem("quantum_plane", tuple(symbols), rules)
 
 
 def two_pair_q_system(q: ScalarLike) -> RewriteSystem:
     """The abstract double of the quantum plane: Q1 Q2 = q Q2 Q1 etc."""
-    q = Scalar.of(q)
-    q2 = q * q
-    rules = {
-        ("Q2", "Q1"): expr((q.inv(), ("Q1", "Q2"))),
-        ("P1", "Q1"): expr((1, ()), (q2, ("Q1", "P1")), (q2 - ONE, ("Q2", "P2"))),
-        ("P1", "Q2"): expr((q, ("Q2", "P1"))),
-        ("P2", "Q1"): expr((q, ("Q1", "P2"))),
-        ("P2", "Q2"): expr((1, ()), (q2, ("Q2", "P2"))),
-        ("P2", "P1"): expr((q, ("P1", "P2"))),
-    }
-    return RewriteSystem("two_pair_q", ("Q1", "Q2", "P1", "P2"), rules)
+    return quantum_plane_system(q, TWO_PAIR)
 

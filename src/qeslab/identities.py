@@ -16,18 +16,19 @@ from typing import List, Sequence, Tuple
 
 from .freealg import (FreeExpr, expr, expr_add, expr_mul, expr_pow,
                       expr_scale, expr_sub, heisenberg_system, normal_order,
-                      q_heisenberg_system, quantum_plane_system,
-                      two_pair_q_system)
+                      q_heisenberg_system, quantum_plane_system, QUANTUM_PLANE,
+                      TWO_PAIR)
 from .operators import LinOperator, OpContext
 from .poly import Poly
-from .scalars import ONE, QParam, Scalar, ScalarLike, ZERO, qbinomial, qnumber
+from .reps import RepSpec, sl2q_constants
+from .scalars import DegenerateQError, QParam, Scalar, ScalarLike, ZERO, qbinomial, qnumber
 
 
 def _mult(ctx: OpContext, p: Poly) -> LinOperator:
     return LinOperator.mult(ctx, p)
 
 
-def _raising_1var(ctx: OpContext, n: ScalarLike, q: QParam | None) -> LinOperator:
+def _raising_1var(ctx: OpContext, n: ScalarLike) -> LinOperator:
     x2 = ctx.var("x", 2)
     x = ctx.var("x")
     d = LinOperator.deriv(ctx, "x")
@@ -36,7 +37,7 @@ def _raising_1var(ctx: OpContext, n: ScalarLike, q: QParam | None) -> LinOperato
 
 def verify_A1(n: int) -> dict:
     ctx = OpContext(["x"])
-    lhs = _raising_1var(ctx, n, None) ** (n + 1)
+    lhs = _raising_1var(ctx, n) ** (n + 1)
     rhs = _mult(ctx, ctx.var("x", 2 * n + 2)) * LinOperator.deriv(ctx, "x", n + 1)
     return {"id": "A1", "n": n, "ok": lhs == rhs}
 
@@ -255,7 +256,7 @@ def verify_A8(n: int, q: ScalarLike) -> dict:
     """(x^2 D - {n} x)^(n+1) = q^(2n(n+1)) x^(2n+2) D^(n+1), shift base q^2."""
     qp = QParam(q, base="squared")
     ctx = OpContext(["x"], q=qp)
-    lhs = _raising_1var(ctx, qnumber(n, qp), qp) ** (n + 1)
+    lhs = _raising_1var(ctx, qnumber(n, qp)) ** (n + 1)
     scale = Scalar.of(q) ** (2 * n * (n + 1))
     rhs = (_mult(ctx, ctx.var("x", 2 * n + 2))
            * LinOperator.deriv(ctx, "x", n + 1)).scale(scale)
@@ -280,15 +281,11 @@ def verify_A10(n: int, q: ScalarLike) -> dict:
     qp = QParam(q, base="squared")
     b = qp.b
     rs = q_heisenberg_system(b)
-    nq = qnumber(n, qp)
-    t = b ** n
-    one_bt = ONE + b * t
-    if one_bt.is_zero():
+    try:
+        nq, _, nh, kappa, lam = sl2q_constants(RepSpec("sl2q", n=Scalar(n), q=qp))
+    except DegenerateQError:
         return {"id": "A10", "n": n, "q": str(Scalar.of(q)), "ok": False,
                 "reason": "degenerate deformation"}
-    nh = nq / one_bt
-    kappa = t * (b + ONE) / one_bt
-    lam = one_bt
     jp = expr((1, ("Q", "Q", "P")), (-nq, ("Q",)))
     j0 = expr((1, ("Q", "P")), (-nh, ()))
     jm = expr((1, ("P",)))
@@ -321,28 +318,28 @@ def _a12_rhs(n: int, qp: QParam, names: Tuple[str, str, str, str]) -> FreeExpr:
     return rhs
 
 
+def _quantum_plane_power(ident: str, n: int, q: ScalarLike,
+                         names: Tuple[str, str, str, str]) -> Tuple[dict, FreeExpr]:
+    """(x x Dx + x y Dy - {n} x)^(n+1) against its closed form, over the
+    quantum plane spelt in names; returns the verdict and the expanded LHS."""
+    qp = QParam(q, base="squared")
+    rs = quantum_plane_system(qp.q, names)
+    x, y, dx, dy = names
+    jop = expr((1, (x, x, dx)), (1, (x, y, dy)), (-qnumber(n, qp), (x,)))
+    lhs = expr_pow(jop, n + 1, rs)
+    diff = expr_sub(lhs, normal_order(_a12_rhs(n, qp, names), rs))
+    return {"id": ident, "n": n, "q": str(Scalar.of(q)), "ok": not diff}, lhs
+
+
 def verify_A12(n: int, q: ScalarLike) -> dict:
     """Quantum-plane version of the two-variable raising power."""
-    qp = QParam(q, base="squared")
-    rs = quantum_plane_system(qp.q)
-    nq = qnumber(n, qp)
-    jop = expr((1, ("x", "x", "Dx")), (1, ("x", "y", "Dy")), (-nq, ("x",)))
-    lhs = expr_pow(jop, n + 1, rs)
-    rhs = _a12_rhs(n, qp, ("x", "y", "Dx", "Dy"))
-    diff = expr_sub(lhs, normal_order(rhs, rs))
-    return {"id": "A12", "n": n, "q": str(Scalar.of(q)), "ok": not diff,
-            "lhs_terms": len(lhs)}
+    out, lhs = _quantum_plane_power("A12", n, q, QUANTUM_PLANE)
+    return {**out, "lhs_terms": len(lhs)}
 
 
 def verify_A14(n: int, q: ScalarLike) -> dict:
-    qp = QParam(q, base="squared")
-    rs = two_pair_q_system(qp.q)
-    nq = qnumber(n, qp)
-    jop = expr((1, ("Q1", "Q1", "P1")), (1, ("Q1", "Q2", "P2")), (-nq, ("Q1",)))
-    lhs = expr_pow(jop, n + 1, rs)
-    rhs = _a12_rhs(n, qp, ("Q1", "Q2", "P1", "P2"))
-    diff = expr_sub(lhs, normal_order(rhs, rs))
-    return {"id": "A14", "n": n, "q": str(Scalar.of(q)), "ok": not diff}
+    """A12 over the abstract two-pair double of the quantum plane."""
+    return _quantum_plane_power("A14", n, q, TWO_PAIR)[0]
 
 
 def heisenberg_embed_check(kind: str, n: int | Fraction,

@@ -2,12 +2,26 @@
 
 An operator is stored normally ordered -- every coefficient to the left of
 every derivative symbol -- so equality of canonical forms is the operator
-equality used throughout.  Composition re-normalizes by pushing derivative
-words through coefficients:
+equality used throughout.  All three calculi are one construction (an Ore
+extension): each variable slot i carries a twist sigma_i and a derivation
+delta_i with D_i o M_c = M_{sigma_i c} D_i + M_{delta_i c}.  The twist is the
+dilation x_i -> s*x_i and delta_i the s-difference quotient, for a factor s
+fixed by the calculus:
 
-  continuous   d o M_c       = M_{dc} + M_c d            (Leibniz)
-  difference   D o M_c       = M_{Dc} + M_{c(qx)} D      (exact, any base)
-  odd          d_th o M_c    = M_{c0 - th*c1} d_th + M_{c1}   (c = c0 + th*c1)
+  calculus     delta               sigma            [a k]_s
+  continuous   d/dx                identity (s=1)   binomial
+  difference   quotient at base b  x -> b*x (s=b)   Gaussian, base b
+  odd          d/dth               th -> -th        binomial (a <= 1)
+
+(on the odd slot, th^2 = 0 makes the (-1)-quotient the plain d/dth).  Since
+delta_i o sigma_i = s * sigma_i o delta_i, pushing a power through a
+coefficient has the closed q-Leibniz form
+
+  D_i^a o M_c = sum_{k=a..0} [a k]_s M_{sigma_i^k delta_i^(a-k) c} D_i^k,
+
+which composition applies slot by slot from the OpContext's pieces.  The
+Gaussian [a k]_b comes from the q-Pascal rule, a polynomial in b, so it stays
+defined where the q-factorials of {a}!/({k}!{a-k}!) vanish (b a root of unity).
 
 A context either uses continuous derivatives in all variables or a difference
 derivative in a single variable; one optional anticommuting variable rides on
@@ -22,7 +36,7 @@ from math import comb
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .poly import Poly, SuperPoly
-from .scalars import QParam, Scalar, ScalarLike
+from .scalars import QParam, Scalar, ScalarLike, qbinomial
 
 DerivWord = Tuple[int, ...]
 
@@ -34,9 +48,10 @@ class ContextMismatchError(ValueError):
 
 
 class OpContext:
-    """Variable list plus calculus choice (continuous vs difference, odd var)."""
+    """Variable list plus calculus choice (continuous vs difference, odd var),
+    and the one place that knows it: the per-slot twist, derivation, binomial."""
 
-    __slots__ = ("vars", "q", "theta")
+    __slots__ = ("vars", "q", "theta", "all_vars", "_base", "_shift")
 
     def __init__(self, vars: Iterable[str], q: QParam | None = None,
                  theta: bool = False):
@@ -49,10 +64,11 @@ class OpContext:
             raise ValueError("difference calculus with an odd variable is not defined")
         if q is not None and len(self.vars) != 1:
             raise ValueError("difference contexts carry exactly one variable")
-
-    @property
-    def all_vars(self) -> Tuple[str, ...]:
-        return self.vars + (THETA,) if self.theta else self.vars
+        self.all_vars: Tuple[str, ...] = self.vars + (THETA,) if theta else self.vars
+        # the base of every derivation (None: plain derivatives, d/dth too)
+        # and, per slot, the dilation factor s of the twist (None: identity)
+        self._base = q.b if q is not None else None
+        self._shift = tuple(Scalar(-1) if v == THETA else self._base for v in self.all_vars)
 
     @property
     def nil(self) -> frozenset[str]:
@@ -66,6 +82,19 @@ class OpContext:
 
     def var(self, name: str, power: int = 1) -> Poly:
         return Poly.var(self.all_vars, name, power, self.nil)
+
+    def delta(self, p: Poly, i: int) -> Poly:
+        """The derivation of slot i: d/dx, or the quotient at base b."""
+        return p.derivative(self.all_vars[i], self._base)
+
+    def sigma(self, p: Poly, i: int, k: int = 1) -> Poly:
+        """The k-th power of the twist of slot i, x_i -> s**k * x_i."""
+        s = self._shift[i]
+        return p if s is None or k == 0 else p.shift_scale(self.all_vars[i], s ** k)
+
+    def binomial(self, a: int, k: int) -> ScalarLike:
+        """[a k]_b of the q-Leibniz rule (odd slots have a <= 1, where it is 1)."""
+        return comb(a, k) if self.q is None else qbinomial(a, k, self.q)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, OpContext) and self.vars == other.vars
@@ -187,22 +216,13 @@ class LinOperator:
         if tuple(f.vars) != self.ctx.all_vars:
             raise ContextMismatchError(
                 f"function over {f.vars} fed to operator over {self.ctx.all_vars}")
-        out = self.ctx.poly()
-        b = self.ctx.q.b if self.ctx.q is not None else None
+        ctx = self.ctx
+        out = ctx.poly()
         for w, c in self.terms.items():
             g = f
             for i, a in enumerate(w):
-                if a == 0:
-                    continue
-                name = self.ctx.all_vars[i]
-                if name == THETA:
-                    g = g.coefficient_of(THETA, 1)
-                elif b is not None:
-                    for _ in range(a):
-                        g = g.jackson_derivative(name, b)
-                else:
-                    for _ in range(a):
-                        g = g.derivative(name)
+                for _ in range(a):
+                    g = ctx.delta(g, i)
                 if g.is_zero():
                     break
             if not g.is_zero():
@@ -220,57 +240,27 @@ class LinOperator:
     # -- composition ------------------------------------------------------------
 
     def _push_word(self, w: DerivWord, c: Poly) -> List[Tuple[DerivWord, Poly]]:
-        """Rewrite D^w o M_c as a sum of M_c' D^w' (normal ordering)."""
-        names = self.ctx.all_vars
-        b = self.ctx.q.b if self.ctx.q is not None else None
-        acc: List[Tuple[List[int], Poly]] = [([0] * len(names), c)]
+        """Rewrite D^w o M_c as a sum of M_c' D^w' (normal ordering), one slot
+        at a time by the q-Leibniz rule, highest derivative order first."""
+        ctx = self.ctx
+        acc: List[Tuple[DerivWord, Poly]] = [((0,) * len(w), c)]
         for i, a in enumerate(w):
             if a == 0:
                 continue
-            name = names[i]
-            if name == THETA:
-                nxt = []
-                for word, coeff in acc:
-                    c0 = coeff.coefficient_of(THETA, 0)
-                    c1 = coeff.coefficient_of(THETA, 1)
-                    th = Poly.var(names, THETA, nil=self.ctx.nil)
-                    if not c0.is_zero() or not c1.is_zero():
-                        flip = c0 - th * c1
-                        if not flip.is_zero():
-                            w2 = list(word)
-                            w2[i] += 1
-                            nxt.append((w2, flip))
-                        if not c1.is_zero():
-                            nxt.append((list(word), c1))
-                acc = nxt
-            elif b is not None:
-                for _ in range(a):
-                    nxt = []
-                    for word, coeff in acc:
-                        dc = coeff.jackson_derivative(name, b)
-                        if not dc.is_zero():
-                            nxt.append((list(word), dc))
-                        shifted = coeff.shift_scale(name, b)
-                        if not shifted.is_zero():
-                            w2 = list(word)
-                            w2[i] += 1
-                            nxt.append((w2, shifted))
-                    acc = nxt
-            else:
-                nxt = []
-                for word, coeff in acc:
-                    dj = coeff
-                    for j in range(a + 1):
-                        if dj.is_zero():
-                            break
-                        w2 = list(word)
-                        w2[i] += a - j
-                        nxt.append((w2, dj.scale(comb(a, j))))
-                        dj = dj.derivative(name)
-                acc = nxt
+            nxt = []
+            for word, coeff in acc:
+                d = coeff  # delta^(a-k) c
+                for k in range(a, -1, -1):
+                    if d.is_zero():
+                        break
+                    term = ctx.sigma(d, i, k).scale(ctx.binomial(a, k))
+                    if not term.is_zero():
+                        nxt.append((word[:i] + (word[i] + k,) + word[i + 1:], term))
+                    d = ctx.delta(d, i)
+            acc = nxt
             if not acc:
                 break
-        return [(tuple(word), coeff) for word, coeff in acc]
+        return acc
 
     def __str__(self) -> str:
         if not self.terms:
@@ -447,7 +437,6 @@ def to_matrix_operator(op: LinOperator) -> MatrixOperator:
     ctx = OpContext(op.ctx.vars, q=op.ctx.q)
     z = LinOperator.zero(ctx)
     blocks = [[z, z], [z, z]]
-    names = op.ctx.all_vars
     for w, c in op.terms.items():
         split = SuperPoly.from_poly(c)
         c0, c1 = split.even, split.odd

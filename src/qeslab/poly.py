@@ -152,44 +152,24 @@ class Poly:
 
     # -- calculus -----------------------------------------------------------
 
-    def derivative(self, name: str) -> "Poly":
-        """Formal partial derivative (valid for the nilpotent variable too)."""
+    def derivative(self, name: str, base: Scalar | None = None) -> "Poly":
+        """Formal partial derivative x^k -> k x^(k-1) (valid for the nilpotent
+        variable too); given a base b, the difference derivative
+        x^k -> {k}_b x^(k-1), classical at b = 1."""
         i = self.vars.index(name)
+        classical = base is None or base == ONE
         out: Dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            s = out.get(e2, ZERO) + c * e[i]
-            if not s.is_zero():
-                out[e2] = s
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * (
+                    k if classical else (ONE - base ** k) / (ONE - base))
         return self._like(out)
 
     def shift_scale(self, name: str, factor: Scalar) -> "Poly":
         """Substitute name -> factor*name (the dilation f(x) -> f(q x))."""
         i = self.vars.index(name)
-        out: Dict[Exponent, Scalar] = {}
-        for e, c in self.terms.items():
-            s = c * factor ** e[i]
-            if not s.is_zero():
-                out[e] = out.get(e, ZERO) + s
-        return self._like(out)
-
-    def jackson_derivative(self, name: str, base: Scalar) -> "Poly":
-        """Difference derivative: x^k -> {k}_base x^(k-1); classical at base 1."""
-        i = self.vars.index(name)
-        out: Dict[Exponent, Scalar] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            qk = Scalar(e[i]) if base == ONE else (ONE - base ** e[i]) / (ONE - base)
-            s = out.get(e2, ZERO) + c * qk
-            if s.is_zero():
-                out.pop(e2, None)
-            else:
-                out[e2] = s
-        return self._like(out)
+        return self._like({e: c * factor ** e[i] for e, c in self.terms.items()})
 
     # -- structure ------------------------------------------------------------
 

@@ -180,11 +180,18 @@ def _mark_power(spec: RepSpec) -> Scalar:
     return spec.qn if spec.qn is not None else spec.q.b ** int(spec.n.re)
 
 
-def _qint_from_power(t: Scalar, q: Scalar) -> Scalar:
-    """{n} = (1 - q**n)/(1 - q) expressed through t = q**n."""
-    if q == ONE:
-        raise ZeroDivisionError
-    return (ONE - t) / (ONE - q)
+def sl2q_constants(spec: RepSpec) -> Tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
+    """The deformed constants of the difference family at the spec's mark:
+    ({n}, {n+1}, nhat = {n}{n+1}/{2n+2}, kappa, lambda), through t = b**n as
+    {n} = (1 - t)/(1 - b), {n+1} = (1 - b t)/(1 - b), {2n+2}/{n+1} = 1 + b t;
+    at base 1 the classical n, n+1, n/2 and the limits 1, 2."""
+    b = spec.q.b
+    if b == ONE:
+        return spec.n, spec.n + ONE, spec.n / Scalar(2), ONE, Scalar(2)
+    t = _mark_power(spec)
+    one_bt = ONE + b * t  # nonzero by RepSpec
+    nq = (ONE - t) / (ONE - b)
+    return nq, (ONE - b * t) / (ONE - b), nq / one_bt, t * (b + ONE) / one_bt, one_bt
 
 
 GV = lambda a, b=0: (Fraction(a), Fraction(b))
@@ -193,18 +200,18 @@ GV = lambda a, b=0: (Fraction(a), Fraction(b))
 # --------------------------------------------------------------------------
 # individual families
 
-def _sl2_like_ops(ctx: OpContext, var: str, n: Scalar):
+def _sl2_like_ops(ctx: OpContext, var: str, n_plus: Scalar, n_zero: Scalar):
+    """x^2 D - n_plus x, x D - n_zero, D in the context's calculus."""
     x = ctx.var(var)
-    x2 = ctx.var(var, 2)
     d = LinOperator.deriv(ctx, var)
-    jp = LinOperator.mult(ctx, x2) * d - LinOperator.mult(ctx, x).scale(n)
-    j0 = LinOperator.mult(ctx, x) * d - LinOperator.identity(ctx).scale(n / Scalar(2))
+    jp = LinOperator.mult(ctx, ctx.var(var, 2)) * d - LinOperator.mult(ctx, x).scale(n_plus)
+    j0 = LinOperator.mult(ctx, x) * d - LinOperator.identity(ctx).scale(n_zero)
     return jp, j0, d
 
 
 def _make_sl2(spec: RepSpec) -> GeneratorSet:
     ctx = OpContext(["x"])
-    jp, j0, jm = _sl2_like_ops(ctx, "x", spec.n)
+    jp, j0, jm = _sl2_like_ops(ctx, "x", spec.n, spec.n / Scalar(2))
     structure = [
         Relation.comm("[J0,J+]=J+", "J0", "J+", {"J+": 1}),
         Relation.comm("[J0,J-]=-J-", "J0", "J-", {"J-": -1}),
@@ -219,28 +226,12 @@ def _make_sl2(spec: RepSpec) -> GeneratorSet:
 
 
 def _make_sl2q(spec: RepSpec) -> GeneratorSet:
-    qp = spec.q
-    q = qp.b  # structure constants live at the effective base
-    ctx = OpContext(["x"], q=qp)
-    x = ctx.var("x")
-    D = LinOperator.deriv(ctx, "x")
-    if q == ONE:
-        nq = spec.n
-        nh = spec.n / Scalar(2)
-        t = ONE
-        kappa = ONE * Scalar(2) / Scalar(2)  # limit of the cleared constants
-        lam = Scalar(2)
-        notes = ["base 1: classical limit branch"]
-    else:
-        t = _mark_power(spec)
-        nq = _qint_from_power(t, q)           # {n}
-        one_qt = ONE + q * t                  # {2n+2}/{n+1}, nonzero by RepSpec
-        nh = nq / one_qt                      # {n}{n+1}/{2n+2}
-        kappa = t * (q + ONE) / one_qt        # the cleared Cartan constant
-        lam = one_qt
-        notes = []
-    jp = LinOperator.mult(ctx, ctx.var("x", 2)) * D - LinOperator.mult(ctx, x).scale(nq)
-    j0 = LinOperator.mult(ctx, x) * D - LinOperator.identity(ctx).scale(nh)
+    q = spec.q.b  # structure constants live at the effective base
+    ctx = OpContext(["x"], q=spec.q)
+    nq, _, nh, kappa, lam = sl2q_constants(spec)
+    t = ONE if q == ONE else _mark_power(spec)
+    notes = ["base 1: classical limit branch"] if q == ONE else []
+    jp, j0, D = _sl2_like_ops(ctx, "x", nq, nh)
     # cleared form of the deformed bracket table: multiply the rescaled
     # relations through by q^(n/2) factors, which cancels every irrationality
     structure = [
@@ -268,7 +259,7 @@ def _make_sl2q(spec: RepSpec) -> GeneratorSet:
         sc = Scalar(s)
         c0 = (ONE / (q + ONE)) * lam / t if not (q + ONE).is_zero() else None
         if c0 is not None:
-            jr = {"J+": jp.scale(sc.inv()), "J-": gens.ops["J-"].scale(sc.inv()),
+            jr = {"J+": jp.scale(sc.inv()), "J-": D.scale(sc.inv()),
                   "J0": j0.scale(c0)}
             rescaled = [
                 Relation.of("q j0j- - j-j0 = -j-",
@@ -369,8 +360,8 @@ def to_matrix_rep(gens: GeneratorSet) -> Dict[str, MatrixOperator]:
 
 def _make_sl2xsl2(spec: RepSpec) -> GeneratorSet:
     ctx = OpContext(["x", "y"])
-    xp, x0, xm = _sl2_like_ops(ctx, "x", spec.n)
-    yp, y0, ym = _sl2_like_ops(ctx, "y", spec.m)
+    xp, x0, xm = _sl2_like_ops(ctx, "x", spec.n, spec.n / Scalar(2))
+    yp, y0, ym = _sl2_like_ops(ctx, "y", spec.m, spec.m / Scalar(2))
     ops = {"Jx+": xp, "Jx0": x0, "Jx-": xm, "Jy+": yp, "Jy0": y0, "Jy-": ym}
     structure = [
         Relation.comm("[Jx0,Jx+]=Jx+", "Jx0", "Jx+", {"Jx+": 1}),
@@ -443,10 +434,7 @@ def root_of_unity_generators(n: int, q: QParam) -> Dict[str, LinOperator]:
     t = q.b ** n
     if t != ONE:
         raise ValueError("the deformation is not an n-th root of unity")
-    nq = qnumber(n, q)
-    D = LinOperator.deriv(ctx, "x")
-    jp = LinOperator.mult(ctx, ctx.var("x", 2)) * D - LinOperator.mult(ctx, ctx.var("x")).scale(nq)
-    j0 = LinOperator.mult(ctx, ctx.var("x")) * D
+    jp, j0, D = _sl2_like_ops(ctx, "x", qnumber(n, q), ZERO)
     return {"J+": jp, "J0": j0, "J-": D}
 
 

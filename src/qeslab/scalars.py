@@ -200,13 +200,19 @@ def qfactorial(k: int, q: QParam) -> Scalar:
 
 
 def qbinomial(n: int, k: int, q: QParam) -> Scalar:
-    """{n choose k}_q = {n}!/({k}!{n-k}!), the classical binomial at base 1."""
+    """The Gaussian binomial [n k] at base b, the classical binomial at b = 1.
+
+    Built by the q-Pascal rule [m j] = [m-1 j-1] + b**j [m-1 j]: a polynomial
+    in b, so defined at roots of unity, where {n}!/({k}!{n-k}!) is 0/0.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    den = qfactorial(k, q) * qfactorial(n - k, q)
-    if den.is_zero():
-        raise DegenerateQError(f"{{k}}!{{n-k}}! vanishes at q={q.q} (n={n}, k={k})")
-    return qfactorial(n, q) / den
+    powers = [q.b ** j for j in range(k + 1)]
+    row = [ONE] + [ZERO] * k  # [m j] for j = 0..k, from m = 0
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = row[j - 1] + powers[j] * row[j]
+    return row[k]
 
 
 def nhat(n: int, q: QParam) -> Scalar:

@@ -151,6 +151,25 @@ def test_osp22_report_digests_pinned(argv, tmp_path, monkeypatch):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OSP22_DIGESTS[argv]
 
 
+# difference-calculus reports, pinned the same way before the calculus was
+# folded into one q-Leibniz rule
+DIFFERENCE_DIGESTS = {
+    ("act", "--vars", "x", "--q", "3/2", "--op", "JDx^3*x^4 - x^2*JDx", "--f", "x^5"):
+        "ca6adcae9a19fa344b26f2d5c90833e853b94d0e03d698e780a94519d880a0de",
+    ("commutator", "--algebra", "sl2q", "--n", "4", "--q", "3/2", "--a", "J+*J+",
+     "--b", "J-*J-"):
+        "0b7ab341f72431e35e067cb81b590b8cfa0110b94a0e52298cb1af4d50292fa6",
+}
+
+
+@pytest.mark.parametrize("argv", list(DIFFERENCE_DIGESTS), ids=lambda argv: argv[0])
+def test_difference_report_digests_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    path = tmp_path / "report.json"
+    assert run_command(list(argv) + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIFFERENCE_DIGESTS[argv]
+
+
 def test_spectrum_command(capsys):
     code, rep = run_json(capsys, [
         "spectrum", "--algebra", "sl2", "--n", "1",

@@ -106,6 +106,15 @@ def test_relation_tables_are_built_at_the_mark(spec):
     assert any(not _evaluate_relation(rel, shifted.word_op).is_zero() for rel in rels)
 
 
+def test_difference_relation_table_at_a_fractional_mark():
+    # the deformed Casimir is built through the explicit mark power q**n,
+    # not at the truncated integer mark
+    spec = RepSpec("sl2q", n=Scalar(Fraction(5, 2)), q=QParam(4), qn=Scalar(32))
+    gens = make_rep(spec)
+    for rel in relation_table(spec):
+        assert _evaluate_relation(rel, gens.word_op).is_zero(), rel.label
+
+
 def test_relation_suite_taxonomy():
     rep = verify_relations(RepSpec("osp22"), seed=1)
     assert len(rep["relations"]) == 14 * 3
