@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .enveloping import body_signed, expand, grading, word_is_exact
+from .enveloping import body_signed, expand, flatten_ops, grading, word_is_exact
 from .freealg import FreeExpr, Word
 from .linalg import nullspace, rank
 from .operators import LinOperator
-from .reps import GeneratorSet, RepSpec, make_rep
-from .scalars import ONE, QParam, Scalar, ZERO, nhat, qnumber
+from .reps import GeneratorSet, RepSpec, make_rep, sl2q_constants
+from .scalars import ONE, QParam, Scalar, ZERO, qnumber
 from .spaces import SpaceSpec, _decompose, action_matrix, enumerate_basis
 
 # --------------------------------------------------------------------------
@@ -261,11 +261,14 @@ def _param_env(spec: RepSpec, params: Dict[str, object],
         env[name] = Scalar(val)
         env[f"{name}*r"] = Scalar(val * spec.r)
     if spec.algebra == "sl2q" and "m" in params:
-        mm = params["m"]
-        if isinstance(mm, Scalar):
-            mm = int(mm.re)
-        env["q_m"] = qnumber(int(mm), spec.q)
-        env["q_nhat"] = nhat(int(Scalar.of(params["n"]).re), spec.q)
+        mm = Scalar.of(params["m"])
+        if spec.q.b == ONE:
+            env["q_m"] = mm
+        elif mm.is_rational() and mm.re.denominator == 1:
+            env["q_m"] = qnumber(int(mm.re), spec.q)
+        else:
+            raise ValueError(f"{{m}} is not rational at the non-integer mark m={mm}")
+        env["q_nhat"] = sl2q_constants(replace(spec, n=Scalar.of(params["n"])))[2]
     return env
 
 
@@ -545,7 +548,6 @@ def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
 def constrained_param_count(rule: CaseRule, spec: RepSpec,
                             params: Dict[str, object]) -> int:
     """Exact dimension of the operator family cut out by a rule's predicate."""
-    from .enveloping import flatten_ops
     gens = make_rep(spec)
     names = sorted(coefficient_words(spec))
     rows = _equation_rows(rule, spec, params, names)

@@ -232,6 +232,8 @@ def cmd_match_cases(args) -> int:
 
 def cmd_param_count(args) -> int:
     spec = _spec_from_args(args)
+    if args.matrix and spec.algebra != "osp22":
+        raise UsageError("--matrix counts are defined for osp22 only")
     res = param_count(spec, args.degree, args.variant, matrix_form=args.matrix)
     return emit(args, "param-count", {**_spec_inputs(spec), "k": args.degree,
                                       "variant": args.variant, "matrix": args.matrix},

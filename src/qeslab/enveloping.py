@@ -29,12 +29,13 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
 from .freealg import FreeExpr, Word
-from .linalg import rank
+from .linalg import nullspace, rank
 from .operators import LinOperator, MatrixOperator, to_matrix_operator
 from .poly import SuperPoly
 from .reps import (GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep,
                    sl2q_constants)
 from .scalars import ONE, Scalar, ZERO
+from .spaces import SpaceSpec, action_matrix
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -109,6 +110,7 @@ def flatten_ops(ops: Sequence[LinOperator]) -> List[List[Scalar]]:
 
 
 def flatten_matrix_ops(ops: Sequence[MatrixOperator]) -> List[List[Scalar]]:
+    """Coordinates of two-component operators (the bench's rank36 input)."""
     keys = sorted({(i, j, w, e)
                    for op in ops for i in (0, 1) for j in (0, 1)
                    for w, c in op.entries[i][j].terms.items() for e in c.terms})
@@ -123,7 +125,9 @@ def flatten_matrix_ops(ops: Sequence[MatrixOperator]) -> List[List[Scalar]]:
 
 
 def span_rank(ops: Sequence[LinOperator]) -> int:
-    return rank(flatten_ops(ops))
+    """Dimension of the span; zero operators (words such as Q1*Q2, whose odd
+    factors both carry d/dtheta) are left out of the elimination."""
+    return rank(flatten_ops([op for op in ops if not op.is_zero()]))
 
 
 # --------------------------------------------------------------------------
@@ -166,40 +170,30 @@ def paper_count(algebra: str, k: int, variant: str, matrix_form: bool,
     return None
 
 
-def preserving_family(mats: Sequence[MatrixOperator], flag) -> List[MatrixOperator]:
-    """A spanning list of {combinations of mats preserving every flag member}.
+def preserving_family(ops: Sequence[LinOperator], flag) -> List[LinOperator]:
+    """A spanning list of {combinations of ops preserving every flag member}.
 
     Escape coordinates of each operator on each flag member form a linear
     system; the family is its nullspace.
     """
-    from .spaces import action_matrix
-    from .linalg import nullspace
     rows = []
     for s in flag:
         escmaps = []
         keys = set()
-        for mat in mats:
-            res = action_matrix(mat, s)
-            esc: Dict[object, Scalar] = {}
-            if not res.preserved:
-                for e in res.escapes:
-                    kkey = (e.source, e.monomial)
-                    esc[kkey] = esc.get(kkey, ZERO) + e.coeff
+        for op in ops:
+            esc = {(e.source, e.monomial): e.coeff for e in action_matrix(op, s).escapes}
             escmaps.append(esc)
             keys.update(esc)
         for key in sorted(keys, key=str):
             rows.append([em.get(key, ZERO) for em in escmaps])
-    basis = nullspace(rows, ncols=len(mats))
-    ops = []
-    for v in basis:
-        out = None
-        for c, mat in zip(v, mats):
+    family = []
+    for v in nullspace(rows, ncols=len(ops)):
+        out = LinOperator.zero(ops[0].ctx)
+        for c, op in zip(v, ops):
             if not c.is_zero():
-                t = mat.scale(c)
-                out = t if out is None else out + t
-        if out is not None:
-            ops.append(out)
-    return ops
+                out = out + op.scale(c)
+        family.append(out)
+    return family
 
 
 def param_count(spec: RepSpec, k: int, variant: str = "quasi",
@@ -207,30 +201,33 @@ def param_count(spec: RepSpec, k: int, variant: str = "quasi",
     """Exact rank of the degree <= k word span (plus the one extra model
     parameter of the deformed family), against the catalogued closed form.
 
-    variant: quasi | exact | exact_x | exact_y.  matrix_form=True uses the
-    two-component images: words one degree higher still act at derivative
-    order <= k and are included per the degree budget, and the exact variant
-    is cut out by the full spinor flag (whose bottom member adds a constraint
-    beyond the grading filter).
+    variant: quasi | exact | exact_x | exact_y.  matrix_form=True (osp22 only)
+    counts the 2x2 matrix operators.  It computes on the odd-variable
+    operators, which the matrix transcription maps onto them injectively and
+    with the same action on spinor spaces, so ranks and preserving families
+    agree: words one degree higher still act at x-derivative order <= k and
+    are included per the degree budget, and the exact variant is cut out by
+    the full spinor flag (whose bottom member adds a constraint beyond the
+    grading filter).
     """
     if k not in (1, 2):
         raise ValueError("parameter counts are catalogued for k in {1, 2}")
+    if matrix_form and spec.algebra != "osp22":
+        raise ValueError("matrix-form counts are defined for osp22 only")
     gens = make_rep(spec)
     words = words_up_to_degree(gens, k + 1 if matrix_form else k)
     if matrix_form:
-        mats = [m for m in (expand_matrix({w: ONE}, gens) for w in words)
-                if m.order() <= k]
+        ops = [op for op in (expand_word(gens, w) for w in words) if op.order("x") <= k]
         if variant != "quasi":
-            from .spaces import SpaceSpec
             flag = [SpaceSpec("spinor", (0, 0))] + \
                    [SpaceSpec("spinor", (mm, mm - 1)) for mm in range(1, k + 4)]
-            mats = preserving_family(mats, flag)
-        r = rank(flatten_matrix_ops(mats))
+            ops = preserving_family(ops, flag)
     else:
         if variant != "quasi":
             v = {"exact": "total", "exact_x": "x", "exact_y": "y"}[variant]
             words = [w for w in words if word_is_exact(w, gens, v)]
-        r = span_rank([expand_word(gens, w) for w in words])
+        ops = [expand_word(gens, w) for w in words]
+    r = span_rank(ops)
     if spec.algebra == "sl2q":
         r += 1    # the deformation parameter itself counts as free
     paper = paper_count(spec.algebra, k, variant, matrix_form, spec.r)
@@ -480,7 +477,6 @@ def coefficient_shape_check(op: LinOperator, spec: RepSpec, k: int,
 def burnside_span_rank(n: int) -> int:
     """Rank of the action matrices of all words of degree <= n on the
     (n+1)-dimensional flag member; equals (n+1)^2 when they span everything."""
-    from .spaces import SpaceSpec, action_matrix
     spec = RepSpec("sl2", n=Scalar(n))
     gens = make_rep(spec)
     s = SpaceSpec("interval", (n,))

@@ -363,11 +363,6 @@ class MatrixOperator:
         self.entries = rows
 
     @classmethod
-    def zero(cls, ctx: OpContext) -> "MatrixOperator":
-        z = LinOperator.zero(ctx)
-        return cls([[z, z], [z, z]])
-
-    @classmethod
     def identity(cls, ctx: OpContext) -> "MatrixOperator":
         one = LinOperator.identity(ctx)
         z = LinOperator.zero(ctx)
@@ -376,12 +371,6 @@ class MatrixOperator:
     def __add__(self, other: "MatrixOperator") -> "MatrixOperator":
         return MatrixOperator([[self.entries[i][j] + other.entries[i][j]
                                 for j in (0, 1)] for i in (0, 1)])
-
-    def __neg__(self) -> "MatrixOperator":
-        return MatrixOperator([[-self.entries[i][j] for j in (0, 1)] for i in (0, 1)])
-
-    def __sub__(self, other: "MatrixOperator") -> "MatrixOperator":
-        return self + (-other)
 
     def scale(self, c: ScalarLike) -> "MatrixOperator":
         return MatrixOperator([[self.entries[i][j].scale(c) for j in (0, 1)]
@@ -394,14 +383,6 @@ class MatrixOperator:
         return MatrixOperator([
             [compose(e[i][0], f[0][j]) + compose(e[i][1], f[1][j]) for j in (0, 1)]
             for i in (0, 1)])
-
-    __rmul__ = scale
-
-    def __pow__(self, k: int) -> "MatrixOperator":
-        out = MatrixOperator.identity(self.ctx)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MatrixOperator)

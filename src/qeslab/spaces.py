@@ -6,15 +6,18 @@ even sector first, and the closed-form dimension is cross-checked against the
 enumeration at construction time.  action_matrix applies an operator to each
 basis monomial: either every image stays inside and an exact matrix comes
 back, or the offending monomials are returned with their out-of-space parts.
+This is the one action path: a superalgebra operator acts on a spinor pair
+through its odd variable (the odd row is the theta sector), which is the
+same action as its 2x2 matrix transcription on two-component functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
-from .operators import LinOperator, MatrixOperator, OpContext
+from .operators import LinOperator, OpContext
 from .poly import Poly
 from .scalars import Scalar, ZERO
 
@@ -191,9 +194,7 @@ def _decompose(image: Poly, s: SpaceSpec, ctx: OpContext,
     return inside, outside
 
 
-def action_matrix(op: Union[LinOperator, MatrixOperator], s: SpaceSpec) -> ActionResult:
-    if isinstance(op, MatrixOperator):
-        return _matrix_action(op, s)
+def action_matrix(op: LinOperator, s: SpaceSpec) -> ActionResult:
     ctx = op.ctx
     labels = s.labels()
     index = {lab: i for i, lab in enumerate(labels)}
@@ -212,46 +213,11 @@ def action_matrix(op: Union[LinOperator, MatrixOperator], s: SpaceSpec) -> Actio
     return ActionResult(s, labels, matrix)
 
 
-def _matrix_action(op: MatrixOperator, s: SpaceSpec) -> ActionResult:
-    """Action on a spinor space in two-component form (upper = odd sector)."""
-    if not s.is_spinor():
-        raise ValueError("matrix operators act on spinor spaces")
-    ctx = op.ctx
-    labels = s.labels()
-    index = {lab: i for i, lab in enumerate(labels)}
-    zero = Poly.zero(ctx.all_vars)
-    xi = ctx.all_vars.index(s.vars[0])
-    dim = len(labels)
-    cols: List[Dict[int, Scalar]] = []
-    escapes: List[Escape] = []
-    nmax = {0: s.params[0], 1: s.params[1]}
-    for lab in labels:
-        (exp,), odd = lab
-        mono = Poly.monomial(ctx.all_vars, tuple(exp if j == xi else 0
-                                                 for j in range(len(ctx.all_vars))))
-        spinor = (mono, zero) if odd else (zero, mono)
-        up, lo = op.apply(spinor)
-        inside: Dict[int, Scalar] = {}
-        for part, sector in ((up, 1), (lo, 0)):
-            for e, c in part.terms.items():
-                key = ((e[xi],), sector)
-                if sum(e) == e[xi] and e[xi] <= nmax[sector]:
-                    inside[index[key]] = c
-                else:
-                    escapes.append(Escape(lab, e + (sector,), c))
-        cols.append(inside)
-    if escapes:
-        return ActionResult(s, labels, None, escapes)
-    matrix = [[cols[j].get(i, ZERO) for j in range(dim)] for i in range(dim)]
-    return ActionResult(s, labels, matrix)
-
-
-def preserves(op: Union[LinOperator, MatrixOperator], s: SpaceSpec) -> bool:
+def preserves(op: LinOperator, s: SpaceSpec) -> bool:
     return action_matrix(op, s).preserved
 
 
-def flag_preserves(op: Union[LinOperator, MatrixOperator],
-                   flag: Sequence[SpaceSpec]) -> bool:
+def flag_preserves(op: LinOperator, flag: Sequence[SpaceSpec]) -> bool:
     dims = [dimension(s) for s in flag]
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("flag members must strictly increase in dimension")

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.classify import (CoeffAssignment, case_jobs, classify_grading,
-                             coefficient_words, constrained_param_count,
-                             find_rule, match_cases, rules_for,
-                             sample_assignment, verify_case)
+from qeslab.classify import (CoeffAssignment, _param_env, case_jobs,
+                             classify_grading, coefficient_words,
+                             constrained_param_count, find_rule, match_cases,
+                             rules_for, sample_assignment, verify_case)
 from qeslab.enveloping import flatten_ops, words_up_to_degree
 from qeslab.linalg import rref
 from qeslab.reps import RepSpec, make_rep
@@ -125,6 +125,20 @@ def test_noninteger_branch():
     hits = match_cases(asg)
     hit = next((h for h in hits if h["id"] == "I.1.2b"), None)
     assert hit is not None and Fraction(hit["params"]["m"]).denominator > 1
+
+
+def test_sl2q_catalogue_constants_at_the_params_own_marks():
+    # q_nhat is nhat at the params' mark n (n/2 at base 1), not at int(n)
+    spec = RepSpec("sl2q", n=S(Fraction(5, 2)), q=QParam(1))
+    env = _param_env(spec, {"n": Fraction(5, 2), "m": 2})
+    assert env["q_nhat"] == S(Fraction(5, 4)) and env["q_m"] == S(2)
+    env = _param_env(spec, {"n": Fraction(5, 2), "m": Fraction(3, 2)})
+    assert env["q_m"] == S(Fraction(3, 2))
+    spec = RepSpec("sl2q", n=S(3), q=QParam(2))
+    env = _param_env(spec, {"n": S(3), "m": 2})
+    assert env["q_m"] == S(3) and env["q_nhat"] == S(Fraction(7 * 15, 255))
+    with pytest.raises(ValueError):
+        _param_env(spec, {"n": S(3), "m": Fraction(3, 2)})
 
 
 def test_verify_case_examples():

@@ -54,6 +54,7 @@ def test_usage_error_exit_code(capsys):
     ["grading", "--algebra", "osp22", "--word", "Q2,Q2"],
     ["rep", "verify", "--algebra", "sl2q", "--n", "2", "--q", "-1"],
     ["identity", "--id", "A8", "--q", "0"],
+    ["param-count", "--algebra", "sl3", "--n", "2", "--matrix"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert run_command(argv) == 2
@@ -149,6 +150,23 @@ def test_osp22_report_digests_pinned(argv, tmp_path, monkeypatch):
     args = [str(coeffs) if a == "COEFFS" else a for a in argv]
     assert run_command(args + ["--json", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OSP22_DIGESTS[argv]
+
+
+# the matrix-form quasi count, pinned the same way before the matrix-form
+# counts moved from 2x2 operators to the odd-variable operators
+MATRIX_FORM_DIGESTS = {
+    ("param-count", "--algebra", "osp22", "--n", "7/2", "--k", "2", "--matrix",
+     "--variant", "quasi"):
+        "0e4402dcf57f4ec6beab15b37717b05d3a5f657db9d551563e411585376be8ea",
+}
+
+
+@pytest.mark.parametrize("argv", list(MATRIX_FORM_DIGESTS), ids=lambda argv: argv[0])
+def test_matrix_form_report_digests_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    path = tmp_path / "report.json"
+    assert run_command(list(argv) + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MATRIX_FORM_DIGESTS[argv]
 
 
 # difference-calculus reports, pinned the same way before the calculus was

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.classify import CoeffAssignment, coefficient_words
 from qeslab.enveloping import expand, make_word, words_up_to_degree
 from qeslab.operators import LinOperator, OpContext, to_matrix_operator
 from qeslab.poly import Poly
@@ -123,21 +122,47 @@ def test_nonflat_rotation_triangle():
             assert preserves(g.op(name), s)
 
 
-def test_spinor_matrix_equivalence():
-    rng = random.Random(17)
-    n = 3
-    spec = RepSpec("osp22", n=Scalar(n))
-    gens = make_rep(spec)
-    names = sorted(coefficient_words(spec))
-    s = SpaceSpec("spinor", (n, n - 1))
-    for trial in range(10):
-        vals = {nm: Scalar(rng.randint(-3, 3)) for nm in names
-                if rng.random() < 0.5}
-        asg = CoeffAssignment(spec, vals)
-        op = asg.operator(gens)
-        scalar_ok = preserves(op, s)
-        matrix_ok = preserves(to_matrix_operator(op), s)
-        assert scalar_ok == matrix_ok
+def _two_component_action(op, s):
+    """Reference action on a spinor pair read off the 2x2 transcription:
+    each basis monomial goes in as (upper, lower) = (odd, even) components,
+    and each image term lands in the basis or escapes with its (x, sector)
+    exponents.  Returns the matrix (None on escape) and the escape map."""
+    mop = to_matrix_operator(op)
+    labels = s.labels()
+    index = {lab: i for i, lab in enumerate(labels)}
+    zero = Poly.zero(mop.ctx.all_vars)
+    matrix = [[Scalar(0)] * len(labels) for _ in labels]
+    escapes = {}
+    for j, lab in enumerate(labels):
+        ((deg,), odd) = lab
+        mono = Poly.monomial(mop.ctx.all_vars, (deg,))
+        up, lo = mop.apply((mono, zero) if odd else (zero, mono))
+        for part, sector in ((up, 1), (lo, 0)):
+            for (e,), c in part.terms.items():
+                if ((e,), sector) in index:
+                    matrix[index[((e,), sector)]][j] = c
+                else:
+                    escapes[(lab, (e, sector))] = c
+    return (None if escapes else matrix), escapes
+
+
+def test_spinor_action_matches_the_matrix_reference():
+    # the one action path on theta-context operators equals the two-component
+    # action of their 2x2 transcriptions, entry by entry and escape by escape
+    flag = [SpaceSpec("spinor", (0, 0))] + \
+           [SpaceSpec("spinor", (m, m - 1)) for m in range(1, 6)]
+    for n in (Fraction(5, 2), Fraction(7, 2)):
+        gens = make_rep(RepSpec("osp22", n=Scalar(n)))
+        ops = [op for op in (gens.word_op(w) for w in words_up_to_degree(gens, 3))
+               if op.order("x") <= 2]
+        assert len(ops) == 107
+        for op in ops:
+            for s in flag:
+                res = action_matrix(op, s)
+                matrix, escapes = _two_component_action(op, s)
+                assert res.matrix == matrix, (op, s)
+                got = {(e.source, e.monomial): e.coeff for e in res.escapes}
+                assert len(got) == len(res.escapes) and got == escapes, (op, s)
 
 
 def test_parse_space():
