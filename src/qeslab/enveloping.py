@@ -35,7 +35,7 @@ from .poly import SuperPoly
 from .reps import (GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep,
                    sl2q_constants)
 from .scalars import ONE, Scalar, ZERO
-from .spaces import SpaceSpec, action_matrix
+from .spaces import SpaceSpec, action_matrix, flag_actions
 
 HALF = Scalar(Fraction(1, 2))
 
@@ -176,16 +176,11 @@ def preserving_family(ops: Sequence[LinOperator], flag) -> List[LinOperator]:
     Escape coordinates of each operator on each flag member form a linear
     system; the family is its nullspace.
     """
-    rows = []
-    for s in flag:
-        escmaps = []
-        keys = set()
-        for op in ops:
-            esc = {(e.source, e.monomial): e.coeff for e in action_matrix(op, s).escapes}
-            escmaps.append(esc)
-            keys.update(esc)
-        for key in sorted(keys, key=str):
-            rows.append([em.get(key, ZERO) for em in escmaps])
+    per_op = [[{(e.source, e.monomial): e.coeff for e in res.escapes}
+               for res in flag_actions(op, flag)] for op in ops]
+    rows = [[em.get(key, ZERO) for em in maps]
+            for maps in zip(*per_op)         # one flag member at a time, in flag order
+            for key in sorted(set().union(*maps), key=str)]
     family = []
     for v in nullspace(rows, ncols=len(ops)):
         out = LinOperator.zero(ops[0].ctx)

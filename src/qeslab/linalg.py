@@ -1,79 +1,82 @@
-"""Exact linear algebra over Scalar entries.
+"""Exact linear algebra over Scalar entries, computed on Python ints.
 
-Rank uses fraction-free Bareiss elimination after clearing denominators, so
-the rational case runs on big integers with no pivot tolerance anywhere.
-Nullspace extraction uses plain reduced echelon form; characteristic polynomials come from the trace recursion
-(Faddeev-LeVerrier), which stays exact over the rationals.
+Rank is Bareiss elimination on denominator-cleared ints (each ``//`` is exact).
+charpoly(M), d the common denominator of M, is the Hessenberg recurrence
+(Cohen, Alg. 2.2.9) on A = d*M modulo a Mersenne prime P > 2B, where B =
+2**n * prod_i max(1, |row_i of A|) bounds each coefficient c_k of det(tI - A):
+c_k sums C(n, k) principal minors, each at most the product of its row norms
+(Hadamard).  So the symmetric residue is c_k itself, and c_k / d**k is exact.
+Gaussian entries, or a B beyond the table, run the same loop over Scalars.
 """
 
 from __future__ import annotations
 
-from math import lcm
-from typing import List, Sequence
+from fractions import Fraction
+from math import lcm, prod
+from typing import List, Sequence, Tuple
 
 from .scalars import ONE, Scalar, ZERO
 
 Matrix = List[List[Scalar]]
 
+MERSENNE_PRIMES = [(1 << e) - 1 for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217)]
 
-def _cleared_rows(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    out = []
-    for row in rows:
-        den = 1
-        for c in row:
-            den = lcm(den, c.re.denominator, c.im.denominator)
-        out.append([c * den for c in row])
-    return out
+
+def _is_rational(rows: Sequence[Sequence[Scalar]]) -> bool:
+    return all(not c.im for row in rows for c in row)
+
+
+def _cleared_int_rows(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], List[int]]:
+    """Each row times the lcm of its denominators, as ints, and those lcms; a
+    Gaussian A + iB comes back as its real form [[A, -B], [B, A]]."""
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"ragged matrix: row lengths {sorted({len(row) for row in rows})}")
+    parts = [[c.re for c in row] for row in rows]
+    if not _is_rational(rows):
+        parts = [half for row in rows for half in ([c.re for c in row] + [-c.im for c in row],
+                                                   [c.im for c in row] + [c.re for c in row])]
+    dens = [lcm(*(c.denominator for c in row)) for row in parts]
+    return [[c.numerator * (d // c.denominator) for c in row] for row, d in zip(parts, dens)], dens
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank by fraction-free Gaussian elimination (Bareiss)."""
-    m = _cleared_rows(rows)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = ONE
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if not m[i][col].is_zero()), None)
+    """Exact rank by Bareiss elimination (half the real form's, if Gaussian)."""
+    m = [row for row in _cleared_int_rows(rows)[0] if any(row)]
+    r, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i, row in enumerate(m) if row[col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) / prev
-            m[i][col] = ZERO
-        prev = m[r][col]
+        top = m.pop(piv)
+        p = top[col]
+        m = [new for new in ([(p * x - row[col] * y) // prev for x, y in zip(row, top)]
+                             for row in m) if any(new)]
+        prev = p
         r += 1
-        if r == nrows:
-            break
-    return r
+    return r if _is_rational(rows) else r // 2
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [list(row) for row in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
+    """Reduced row echelon form and pivot columns: Gauss-Jordan on Fractions of
+    the cleared rows (rows scaled, same form) or on Scalars if Gaussian."""
+    ints = _cleared_int_rows(rows)[0]
+    m = ([[Fraction(x) for x in row] for row in ints] if _is_rational(rows)
+         else [list(row) for row in rows])
     pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if not m[i][col].is_zero()), None)
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][col].inv()
-        m[r] = [c * inv for c in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][col].is_zero():
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        inv = 1 / m[r][col]
+        top = m[r] = [c * inv for c in m[r]]
+        for i, row in enumerate(m):
+            f = row[col]
+            if i != r and f != 0:
+                m[i] = [a - f * b for a, b in zip(row, top)]
         pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    return [[Scalar(c) for c in row] for row in m], pivots
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> List[List[Scalar]]:
@@ -83,9 +86,8 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> Lis
     if not rows:
         return [[ONE if j == i else ZERO for j in range(ncols)] for i in range(ncols)]
     m, pivots = rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
     basis = []
-    for f in free:
+    for f in (j for j in range(ncols) if j not in pivots):
         v = [ZERO] * ncols
         v[f] = ONE
         for r, p in enumerate(pivots):
@@ -94,36 +96,58 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> Lis
     return basis
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            ait = a[i][t]
-            if ait.is_zero():
-                continue
-            row = b[t]
-            oi = out[i]
-            for j in range(m):
-                if not row[j].is_zero():
-                    oi[j] = oi[j] + ait * row[j]
-    return out
+def _hessenberg_charpoly(h: list, one, inv, red) -> list:
+    """det(tI - h), highest power first, over the field whose elements are
+    reduced by ``red`` and inverted by ``inv``; ``h`` is overwritten."""
+    n = len(h)
+    for m in range(1, n - 1):      # upper Hessenberg form by elementary similarities
+        piv = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
+        if piv is None:
+            continue
+        h[piv], h[m] = h[m], h[piv]
+        for row in h:
+            row[piv], row[m] = row[m], row[piv]
+        t = inv(h[m][m - 1])
+        for i in range(m + 1, n):
+            u = red(h[i][m - 1] * t)
+            if u != 0:
+                h[i] = [red(x - u * y) for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = red(row[m] + u * row[i])
+    # p_m = (t - h_mm) p_{m-1} - sum_i h_im h_{i+1,i}...h_{m,m-1} p_{i-1}, low powers first
+    p = [[one]]
+    for m in range(n):
+        new = [red(a - h[m][m] * b) for a, b in zip([one - one] + p[m], p[m] + [one - one])]
+        t = one
+        for i in range(m, 0, -1):
+            t = red(t * h[i][i - 1])
+            if t == 0:
+                break
+            c = red(h[i - 1][m] * t)
+            for j, b in enumerate(p[i - 1]):
+                new[j] = red(new[j] - c * b)
+        p.append(new)
+    return p[n][::-1]
 
 
 def charpoly(rows: Sequence[Sequence[Scalar]]) -> List[Scalar]:
     """Monic characteristic polynomial det(tI - A), highest power first."""
+    ints, dens = _cleared_int_rows(rows)
     n = len(rows)
-    a = [list(r) for r in rows]
-    coeffs = [ONE]
-    m = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        tr = sum((m[i][i] for i in range(n)), ZERO)
-        c = tr / Scalar(-k)
-        coeffs.append(c)
-        for i in range(n):
-            m[i][i] = m[i][i] + c
-    return coeffs
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"charpoly of a non-square {n}x{len(rows[0])} matrix")
+    if _is_rational(rows):
+        d = lcm(*dens)
+        a = [[x * (d // di) for x in row] for row, di in zip(ints, dens)]
+        bound_sq = prod(max(1, sum(x * x for x in row)) for row in a) << (2 * n)   # B**2
+        p = next((p for p in MERSENNE_PRIMES if p * p > 4 * bound_sq), None)
+        if p is not None:
+            res = _hessenberg_charpoly([[x % p for x in row] for row in a], 1,
+                                       lambda x: pow(x, -1, p), lambda x: x % p)
+            lifted = [c - p if 2 * c > p else c for c in res]
+            assert all(c * c <= bound_sq for c in lifted)
+            return [Scalar(Fraction(c, d ** k)) for k, c in enumerate(lifted)]
+    return _hessenberg_charpoly([list(row) for row in rows], ONE, Scalar.inv, lambda x: x)
 
 
 def eval_poly(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .operators import LinOperator, OpContext
 from .poly import Poly
@@ -195,22 +195,28 @@ def _decompose(image: Poly, s: SpaceSpec, ctx: OpContext,
 
 
 def action_matrix(op: LinOperator, s: SpaceSpec) -> ActionResult:
+    return next(flag_actions(op, [s]))
+
+
+def flag_actions(op: LinOperator, flag: Sequence[SpaceSpec]) -> Iterator[ActionResult]:
+    """action_matrix(op, s) for each s in flag; op is applied once to each
+    basis monomial, however many members share it."""
     ctx = op.ctx
-    labels = s.labels()
-    index = {lab: i for i, lab in enumerate(labels)}
-    basis = enumerate_basis(s, ctx)
-    dim = len(labels)
-    cols: List[Dict[int, Scalar]] = []
-    escapes: List[Escape] = []
-    for lab, mono in zip(labels, basis):
-        image = op.apply_poly(mono)
-        inside, outside = _decompose(image, s, ctx, index)
-        cols.append(inside)
-        escapes.extend(Escape(lab, e, c) for e, c in outside)
-    if escapes:
-        return ActionResult(s, labels, None, escapes)
-    matrix = [[cols[j].get(i, ZERO) for j in range(dim)] for i in range(dim)]
-    return ActionResult(s, labels, matrix)
+    images: Dict[Tuple[Tuple[str, ...], Label], Poly] = {}
+    for s in flag:
+        labels = s.labels()
+        index = {lab: i for i, lab in enumerate(labels)}
+        cols: List[Dict[int, Scalar]] = []
+        escapes: List[Escape] = []
+        for lab, mono in zip(labels, enumerate_basis(s, ctx)):
+            if (s.vars, lab) not in images:
+                images[(s.vars, lab)] = op.apply_poly(mono)
+            inside, outside = _decompose(images[(s.vars, lab)], s, ctx, index)
+            cols.append(inside)
+            escapes.extend(Escape(lab, e, c) for e, c in outside)
+        dim = len(labels)
+        matrix = None if escapes else [[cols[j].get(i, ZERO) for j in range(dim)] for i in range(dim)]
+        yield ActionResult(s, labels, matrix, escapes)
 
 
 def preserves(op: LinOperator, s: SpaceSpec) -> bool:

@@ -1,12 +1,12 @@
 """Spectra on invariant subspaces and one-dimensional Schroedinger reductions.
 
-Exact characteristic polynomials come from the trace recursion; numeric roots
-from the companion matrix.  The scalar reduction maps
--P4 f'' + P3 f' + P2 f = eps f to -psi'' + V psi = eps psi through
-z = int dx/sqrt(P4) and the gauge exponent A = (1/2) int (P3/P4) dx
-+ (1/4) log P4 (the half in front of the integral is forced by eliminating
-the first-order term; V = A'^2 - A'' + P2 follows).  The quartic-family
-change of variable x = z^2 is special-cased analytically.
+Exact characteristic polynomials come from the Hessenberg recurrence modulo a
+prime above twice their Hadamard bound; numeric roots from the companion
+matrix.  The scalar reduction maps -P4 f'' + P3 f' + P2 f = eps f to
+-psi'' + V psi = eps psi through z = int dx/sqrt(P4) and the gauge exponent
+A = (1/2) int (P3/P4) dx + (1/4) log P4 (the half in front of the integral is
+forced by eliminating the first-order term; V = A'^2 - A'' + P2 follows).  The
+quartic-family change of variable x = z^2 is special-cased analytically.
 
 The 2x2 matrix example reduces with x = y^2 and the gauge factor
 exp(-alpha y^2/4 + i beta y^2 sigma_1/4); the transformed operator is

@@ -188,6 +188,26 @@ def test_difference_report_digests_pinned(argv, tmp_path, monkeypatch):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIFFERENCE_DIGESTS[argv]
 
 
+# rank- and charpoly-heavy reports, pinned the same way before the exact
+# kernels moved from Scalar arithmetic onto Python ints; the sl2 operator is
+# not triangular on int:30 and all 32 of its charpoly coefficients are nonzero
+KERNEL_DIGESTS = {
+    ("verify", "--suite", "params"):
+        "39c7ac9ec7daeeffe5e7542b8e8d15fbbfdcc68f92c9613d9e808ce459cae254",
+    ("spectrum", "--algebra", "sl2", "--n", "30", "--op", "J+*J- - J0*J- + J+ + 2*J0 + J-",
+     "--space", "int:30"):
+        "3aee3adc2aacd5969afd9a8ab204bb371bc0a549ed2f60c47b8699bd2c7ad4c3",
+}
+
+
+@pytest.mark.parametrize("argv", list(KERNEL_DIGESTS), ids=lambda argv: argv[0])
+def test_kernel_report_digests_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    path = tmp_path / "report.json"
+    assert run_command(list(argv) + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == KERNEL_DIGESTS[argv]
+
+
 def test_spectrum_command(capsys):
     code, rep = run_json(capsys, [
         "spectrum", "--algebra", "sl2", "--n", "1",
