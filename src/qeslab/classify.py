@@ -4,8 +4,21 @@ The second-order operator families are parameterized by named coefficients
 (one per ordered generator pair, plus linear and constant terms).  The case
 catalogue (data/cases.json) stores each rule's linear predicate and concluded
 invariant spaces as data; match_cases instantiates free integer parameters,
-and verify_case samples random satisfying assignments and confirms every
-concluded space through the action-matrix oracle.
+and verify_case proves each instantiated rule before it samples anything.
+
+The certificate.  A rule's predicate is linear in the coefficients, so its
+satisfying assignments are the span of a nullspace basis.  Expansion to an
+operator is linear in the assignment, and so is the action on a polynomial;
+a space is preserved by a sum of operators that each preserve it.  So if
+every basis operator maps every concluded space into itself, every operator
+that satisfies the predicate does too, and the rule is certified at that
+instance ("certified": true).  requires_nonzero only removes assignments, so
+it cannot break the certificate.  The certificate covers the concluded
+spaces as instantiated: the flag, sequence and family conclusions up to
+flag_prefix members, and for an unbounded-even spinor conclusion only the
+two rows spin(N, M) -> spin(N+2, M) that _check_unbounded_even tests, not
+every N.  An uncertified rule falls back to the seeded sampled trials, which
+supply the counterexample witnesses.
 
 The J-sign note from the enveloping module applies here too: the catalogue's
 coefficients multiply products of generators in the printed order, with the
@@ -28,7 +41,7 @@ from .linalg import nullspace, rank
 from .operators import LinOperator
 from .reps import GeneratorSet, RepSpec, make_rep, sl2q_constants
 from .scalars import ONE, QParam, Scalar, ZERO, qnumber
-from .spaces import SpaceSpec, _decompose, action_matrix, enumerate_basis
+from .spaces import SpaceSpec, _decompose, action_matrix, enumerate_basis, flag_actions
 
 # --------------------------------------------------------------------------
 # coefficient bases: name -> generator word (composed in the printed order)
@@ -469,12 +482,19 @@ def _solve_noninteger(rule: CaseRule, assignment: CoeffAssignment,
 # --------------------------------------------------------------------------
 # sampling and the oracle sweep
 
-def sample_assignment(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
-                      rng: random.Random) -> CoeffAssignment:
-    """Random rational assignment satisfying the rule's instantiated predicate."""
+def _predicate_basis(rule: CaseRule, spec: RepSpec,
+                     params: Dict[str, object]) -> Tuple[List[str], List[List[Scalar]]]:
+    """The family's coefficient names and a basis of the rule's instantiated
+    predicate: every satisfying assignment is a combination of its vectors."""
     names = sorted(coefficient_words(spec))
     rows = _equation_rows(rule, spec, params, names)
-    basis = nullspace(rows, ncols=len(names))
+    return names, nullspace(rows, ncols=len(names))
+
+
+def _draw(rule: CaseRule, spec: RepSpec, names: Sequence[str],
+          basis: List[List[Scalar]], rng: random.Random) -> CoeffAssignment:
+    """Random rational combination of the basis with the rule's nonzero
+    coefficients nonzero."""
     for _ in range(200):
         coeffs: Dict[str, Scalar] = {nm: ZERO for nm in names}
         for v in basis:
@@ -487,6 +507,12 @@ def sample_assignment(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
         if all(not coeffs[nm].is_zero() for nm in rule.requires_nonzero):
             return CoeffAssignment(spec, coeffs)
     raise RuntimeError(f"could not sample a nondegenerate assignment for {rule.id}")
+
+
+def sample_assignment(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
+                      rng: random.Random) -> CoeffAssignment:
+    """Random rational assignment satisfying the rule's instantiated predicate."""
+    return _draw(rule, spec, *_predicate_basis(rule, spec, params), rng)
 
 
 CASE_FAMILIES = (RepSpec("sl2"), RepSpec("sl2q", q=QParam(2)), RepSpec("osp22"),
@@ -511,15 +537,36 @@ def case_jobs(rng: random.Random) -> Iterator[Tuple[RepSpec, CaseRule, Dict[str,
                 yield spec, rule, params, t
 
 
+def _certified(ops: Iterator[LinOperator], targets: List[Tuple[str, object]],
+               spec: RepSpec, params: Dict[str, object]) -> bool:
+    """True when every operator preserves every target; stops at the first
+    escape."""
+    flag = [s for _, s in targets if isinstance(s, SpaceSpec)]
+    evens = [s[1] for _, s in targets if not isinstance(s, SpaceSpec)]
+    return all(all(res.preserved for res in flag_actions(op, flag))
+               and all(_check_unbounded_even(op, con, spec, params) for con in evens)
+               for op in ops)
+
+
 def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
                 trials: int = 25, seed: int = 0, flag_prefix: int = 5) -> dict:
-    """Sample satisfying assignments; confirm every concluded space."""
+    """Certify the rule on its predicate's nullspace basis (see the module
+    docstring), then draw the seeded trial assignments from that basis.  A
+    certified rule holds for every satisfying operator, so its trials find
+    no counterexamples and their operators are not expanded; an uncertified
+    one applies each trial's operator to every concluded space and reports
+    the first escape per space as a counterexample witness."""
     gens = make_rep(spec)
     targets = conclusion_spaces(rule, spec, params, flag_prefix)
+    names, basis = _predicate_basis(rule, spec, params)
+    ops = (CoeffAssignment(spec, dict(zip(names, v))).operator(gens) for v in basis)
+    certified = _certified(ops, targets, spec, params)
     counterexamples = []
     for t in range(trials):
         rng = random.Random((seed, rule.id, str(params), t).__str__())
-        asg = sample_assignment(rule, spec, params, rng)
+        asg = _draw(rule, spec, names, basis, rng)
+        if certified:
+            continue
         op = asg.operator(gens)
         for desc, target in targets:
             if isinstance(target, SpaceSpec):
@@ -541,21 +588,16 @@ def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
             "params": {k: str(Scalar.of(v)) for k, v in params.items()},
             "trials": trials, "targets": [d for d, _ in targets],
             "as_printed": rule.as_printed, "note": rule.note,
-            "counterexamples": counterexamples,
+            "certified": certified, "counterexamples": counterexamples,
             "ok": not counterexamples}
 
 
 def constrained_param_count(rule: CaseRule, spec: RepSpec,
                             params: Dict[str, object]) -> int:
     """Exact dimension of the operator family cut out by a rule's predicate."""
+    names, basis = _predicate_basis(rule, spec, params)
     gens = make_rep(spec)
-    names = sorted(coefficient_words(spec))
-    rows = _equation_rows(rule, spec, params, names)
-    basis = nullspace(rows, ncols=len(names))
-    ops = []
-    for v in basis:
-        asg = CoeffAssignment(spec, {nm: c for nm, c in zip(names, v)})
-        ops.append(asg.operator(gens))
+    ops = [CoeffAssignment(spec, dict(zip(names, v))).operator(gens) for v in basis]
     r = rank(flatten_ops(ops))
     if spec.algebra == "sl2q":
         r += 1

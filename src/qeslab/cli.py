@@ -490,6 +490,8 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}")
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     payload = SUITES[args.suite](args, rng)
     return emit(args, f"verify {args.suite}", {"suite": args.suite,
                                                "trials": args.trials},

@@ -1,17 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from qeslab.classify import (CoeffAssignment, _param_env, case_jobs,
-                             classify_grading, coefficient_words,
-                             constrained_param_count, find_rule, match_cases,
-                             rules_for, sample_assignment, verify_case)
+from qeslab.classify import (CASE_FAMILIES, CaseRule, CoeffAssignment, _param_env,
+                             case_jobs, classify_grading, coefficient_words,
+                             conclusion_spaces, constrained_param_count, find_rule,
+                             match_cases, rules_for, sample_assignment, verify_case)
 from qeslab.enveloping import flatten_ops, words_up_to_degree
 from qeslab.linalg import rref
 from qeslab.reps import RepSpec, make_rep
 from qeslab.scalars import ONE, QParam, Scalar, ZERO
-from qeslab.spaces import SpaceSpec, action_matrix, preserves
+from qeslab.spaces import SpaceSpec, action_matrix, flag_actions
 
 S = Scalar
 
@@ -169,6 +170,73 @@ def test_escape_witness_reported():
     assert not res.preserved and res.escapes[0].coeff != ZERO
 
 
+# a copy of the benchmark's negative control: no predicate, and it concludes
+# the interval below the sl2 module's own, which J+ leaves
+CONTROL_RULE = CaseRule(
+    "sl2", "control/P(n-1)", free=[], free_max={}, requires_zero=[],
+    requires_nonzero=["c_+"], equations=[],
+    conclusions=[{"kind": "interval", "p": [{"n": "1", "1": "-1"}]}])
+
+
+def _i11_without_second_equation():
+    rule = find_rule(RepSpec("osp22"), "I.1.1")
+    return dataclasses.replace(rule, equations=rule.equations[:1])
+
+
+def test_every_catalogue_rule_is_certified():
+    jobs = list(case_jobs(random.Random(7)))
+    assert {spec.algebra for spec, _, _, _ in jobs} == {s.algebra for s in CASE_FAMILIES}
+    for spec, rule, params, t in jobs:
+        rep = verify_case(rule, spec, params, trials=1, seed=t)
+        assert rep["certified"] is True and rep["ok"], (rule.id, rep["params"])
+
+
+def test_control_rule_is_not_certified():
+    spec = RepSpec("sl2", n=S(6))
+    rep = verify_case(CONTROL_RULE, spec, {"n": spec.n}, trials=25, seed=7)
+    assert rep["certified"] is False and not rep["ok"]
+    assert len(rep["counterexamples"]) == 25
+    assert rep["counterexamples"][0]["witness"] == "((4,), 0) -> (6,) (coeff 6)"
+
+
+def test_broken_predicate_is_not_certified():
+    spec = RepSpec("osp22", n=S(4))
+    rep = verify_case(_i11_without_second_equation(), spec, {"n": spec.n}, trials=5, seed=1)
+    assert rep["certified"] is False and not rep["ok"] and rep["counterexamples"]
+
+
+def _reference_witnesses(rule, spec, params, trials, seed):
+    """The sampled oracle alone: every trial's operator on every space."""
+    gens = make_rep(spec)
+    out = []
+    for t in range(trials):
+        rng = random.Random((seed, rule.id, str(params), t).__str__())
+        op = sample_assignment(rule, spec, params, rng).operator(gens)
+        for desc, target in conclusion_spaces(rule, spec, params):
+            res = action_matrix(op, target)
+            if not res.preserved:
+                esc = res.escapes[0]
+                out.append((t, desc, f"{esc.source} -> {esc.monomial} (coeff {esc.coeff})"))
+    return out
+
+
+def test_certificate_agrees_with_sampling():
+    picked = {"Lemma1.3", "Lemma2.3", "I.1.3", "I.3.4", "II.2.1", "Lemma4.4",
+              "Lemma4.8", "Lemma4.12"}
+    cases = [(rule, spec, params) for spec, rule, params, t in case_jobs(random.Random(11))
+             if t == 0 and rule.id in picked]
+    assert len({spec.algebra for _, spec, _ in cases}) == 6
+    spec6, spec4 = RepSpec("sl2", n=S(6)), RepSpec("osp22", n=S(4))
+    cases += [(CONTROL_RULE, spec6, {"n": spec6.n}),
+              (_i11_without_second_equation(), spec4, {"n": spec4.n})]
+    for rule, spec, params in cases:
+        rep = verify_case(rule, spec, params, trials=5, seed=2)
+        want = _reference_witnesses(rule, spec, params, 5, 2)
+        got = [(c["trial"], c["space"], c["witness"]) for c in rep["counterexamples"]]
+        assert got == want, rule.id
+        assert rep["ok"] == (not want) == rep["certified"], rule.id
+
+
 def test_constrained_counts():
     assert constrained_param_count(
         find_rule(RepSpec("sl2"), "Lemma1.3"),
@@ -222,7 +290,7 @@ def test_completeness_spot_check():
         if match_cases(asg, bound=8):
             continue      # predicate satisfied by accident; skip
         op = asg.operator(gens)
-        if any(preserves(op, s) for s in second_spaces):
+        if any(res.preserved for res in flag_actions(op, second_spaces)):
             hits += 1
     assert hits <= 5, f"{hits} generic operators preserved a second space"
 

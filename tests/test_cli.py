@@ -55,6 +55,8 @@ def test_usage_error_exit_code(capsys):
     ["rep", "verify", "--algebra", "sl2q", "--n", "2", "--q", "-1"],
     ["identity", "--id", "A8", "--q", "0"],
     ["param-count", "--algebra", "sl3", "--n", "2", "--matrix"],
+    ["verify", "--suite", "structure", "--trials", "-3"],
+    ["verify", "--suite", "cases", "--trials", "0"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert run_command(argv) == 2
@@ -206,6 +208,22 @@ def test_kernel_report_digests_pinned(argv, tmp_path, monkeypatch):
     path = tmp_path / "report.json"
     assert run_command(list(argv) + ["--json", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == KERNEL_DIGESTS[argv]
+
+
+# the case-catalogue sweep, pinned the same way before the oracle certified
+# each rule on its predicate's nullspace basis
+CASES_DIGESTS = {
+    ("verify", "--suite", "cases"):
+        "0b28af7f320ed489bd66b366281fd95d4b070723cb3de0d1a1a072f81b31d81c",
+}
+
+
+@pytest.mark.parametrize("argv", list(CASES_DIGESTS), ids=lambda argv: argv[-1])
+def test_cases_report_digest_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    path = tmp_path / "report.json"
+    assert run_command(list(argv) + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CASES_DIGESTS[argv]
 
 
 def test_spectrum_command(capsys):
