@@ -13,12 +13,14 @@ a space is preserved by a sum of operators that each preserve it.  So if
 every basis operator maps every concluded space into itself, every operator
 that satisfies the predicate does too, and the rule is certified at that
 instance ("certified": true).  requires_nonzero only removes assignments, so
-it cannot break the certificate.  The certificate covers the concluded
-spaces as instantiated: the flag, sequence and family conclusions up to
-flag_prefix members, and for an unbounded-even spinor conclusion only the
-two rows spin(N, M) -> spin(N+2, M) that _check_unbounded_even tests, not
-every N.  An uncertified rule falls back to the seeded sampled trials, which
-supply the counterexample witnesses.
+it cannot break the certificate; that it leaves some assignment is checked
+exactly on the basis.  The certificate covers the concluded spaces as
+instantiated: the flag, sequence and family conclusions up to FLAG_PREFIX
+members, and for an unbounded-even spinor conclusion only the two rows
+spin(N, M) -> spin(N+2, M) that target_escapes reads, not every N.  Only an
+uncertified rule draws its seeded trials, which supply the counterexample
+witnesses.  target_escapes is the one escape check: the certificate, the
+trials and the classify command all go through it.
 
 The J-sign note from the enveloping module applies here too: the catalogue's
 coefficients multiply products of generators in the printed order, with the
@@ -41,7 +43,10 @@ from .linalg import nullspace, rank
 from .operators import LinOperator
 from .reps import GeneratorSet, RepSpec, make_rep, sl2q_constants
 from .scalars import ONE, QParam, Scalar, ZERO, qnumber
-from .spaces import SpaceSpec, _decompose, action_matrix, enumerate_basis, flag_actions
+from .spaces import SpaceSpec, flag_actions
+
+# members of a flag, sequence or family conclusion that the oracle checks
+FLAG_PREFIX = 5
 
 # --------------------------------------------------------------------------
 # coefficient bases: name -> generator word (composed in the printed order)
@@ -340,8 +345,8 @@ def _space_from_conclusion(con: dict, spec: RepSpec, params: Dict[str, object],
     return None
 
 
-def conclusion_spaces(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
-                      flag_prefix: int = 5) -> List[Tuple[str, object]]:
+def conclusion_spaces(rule: CaseRule, spec: RepSpec,
+                      params: Dict[str, object]) -> List[Tuple[str, object]]:
     """Concrete (description, SpaceSpec or check-tag) list for one instance."""
     out: List[Tuple[str, object]] = []
     for con in rule.conclusions:
@@ -351,46 +356,27 @@ def conclusion_spaces(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
             if s is not None:
                 out.append((str(s), s))
         elif kind == "flag":
-            for i in range(flag_prefix):
+            for i in range(FLAG_PREFIX):
                 s = _space_from_conclusion(con, spec, params, {con["index"]: i})
                 if s is not None:
                     out.append((f"{s} (flag member {i})", s))
         elif kind == "sequence":
             env = _param_env(spec, params)
             last = int(_affine(con["last"], env).re)
-            for i in range(min(last, flag_prefix - 1) + 1):
+            for i in range(min(last, FLAG_PREFIX - 1) + 1):
                 s = _space_from_conclusion(con, spec, params, {con["index"]: i})
                 if s is not None:
                     out.append((f"{s} (sequence member {i})", s))
         elif kind == "flag2":
             i1, i2 = con["indices"]
-            for a in range(flag_prefix - 2):
-                for b in range(flag_prefix - 2 - a):
+            for a in range(FLAG_PREFIX - 2):
+                for b in range(FLAG_PREFIX - 2 - a):
                     s = _space_from_conclusion(con, spec, params, {i1: a, i2: b})
                     if s is not None:
                         out.append((f"{s} (family member {a},{b})", s))
         elif kind == "spinor_unbounded_even":
             out.append((f"unbounded-even spinor rows M={con['p'][0]}", ("unbounded_even", con)))
     return out
-
-
-def _check_unbounded_even(op: LinOperator, con: dict, spec: RepSpec,
-                          params: Dict[str, object]) -> bool:
-    """Images of spin(N, M) stay within spin(N+2, M): the odd row is capped
-    while the even degree may grow freely."""
-    env = _param_env(spec, params)
-    M = int(_affine(con["p"][0], env).re)
-    n0 = int(Scalar.of(params["n"]).re)
-    for N in (max(n0, M) + 3, max(n0, M) + 5):
-        small = SpaceSpec("spinor", (N, M))
-        big = SpaceSpec("spinor", (N + 2, M))
-        idx = {lab: i for i, lab in enumerate(big.labels())}
-        for mono in enumerate_basis(small, op.ctx):
-            image = op.apply_poly(mono)
-            _, outside = _decompose(image, big, op.ctx, idx)
-            if outside:
-                return False
-    return True
 
 
 def match_cases(assignment: CoeffAssignment, bound: int = 12) -> List[dict]:
@@ -537,53 +523,67 @@ def case_jobs(rng: random.Random) -> Iterator[Tuple[RepSpec, CaseRule, Dict[str,
                 yield spec, rule, params, t
 
 
-def _certified(ops: Iterator[LinOperator], targets: List[Tuple[str, object]],
-               spec: RepSpec, params: Dict[str, object]) -> bool:
-    """True when every operator preserves every target; stops at the first
-    escape."""
-    flag = [s for _, s in targets if isinstance(s, SpaceSpec)]
-    evens = [s[1] for _, s in targets if not isinstance(s, SpaceSpec)]
-    return all(all(res.preserved for res in flag_actions(op, flag))
-               and all(_check_unbounded_even(op, con, spec, params) for con in evens)
-               for op in ops)
+def _even_rows(con: dict, spec: RepSpec,
+               params: Dict[str, object]) -> List[Tuple[SpaceSpec, int]]:
+    """The two rows spin(N, M) of an unbounded-even spinor conclusion, each
+    with the even degree N+2 its images may reach."""
+    M = int(_affine(con["p"][0], _param_env(spec, params)).re)
+    top = max(int(Scalar.of(params["n"]).re), M)
+    return [(SpaceSpec("spinor", (N, M)), N + 2) for N in (top + 3, top + 5)]
+
+
+def target_escapes(op: LinOperator, targets: Sequence[Tuple[str, object]], spec: RepSpec,
+                   params: Dict[str, object]) -> Iterator[Tuple[str, str]]:
+    """(description, witness) for each target op does not preserve, in target
+    order, from one flag_actions call over every concluded space.  A space's
+    witness is its first escape.  An unbounded-even conclusion holds when the
+    images of its rows have no odd-row term and no even degree above N+2."""
+    rows = [[(t, None)] if isinstance(t, SpaceSpec) else _even_rows(t[1], spec, params)
+            for _, t in targets]
+    results = flag_actions(op, [s for group in rows for s, _ in group])
+    for (desc, target), group in zip(targets, rows):
+        found = [(next(results).escapes, cap) for _, cap in group]
+        if isinstance(target, SpaceSpec):
+            escapes = found[0][0]
+            if escapes:
+                esc = escapes[0]
+                yield desc, f"{esc.source} -> {esc.monomial} (coeff {esc.coeff})"
+            continue
+        x = op.ctx.all_vars.index("x")
+        if any(sum(e.monomial) != e.monomial[x] or e.monomial[x] > cap
+               for escapes, cap in found for e in escapes):
+            yield desc, "odd-row overflow"
+
+
+def _basis_operators(spec: RepSpec, names: Sequence[str], basis: List[List[Scalar]],
+                     gens: GeneratorSet) -> Iterator[LinOperator]:
+    """The operator of each predicate basis vector, expanded on demand."""
+    return (CoeffAssignment(spec, dict(zip(names, v))).operator(gens) for v in basis)
 
 
 def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
-                trials: int = 25, seed: int = 0, flag_prefix: int = 5) -> dict:
+                trials: int = 25, seed: int = 0) -> dict:
     """Certify the rule on its predicate's nullspace basis (see the module
-    docstring), then draw the seeded trial assignments from that basis.  A
-    certified rule holds for every satisfying operator, so its trials find
-    no counterexamples and their operators are not expanded; an uncertified
-    one applies each trial's operator to every concluded space and reports
-    the first escape per space as a counterexample witness."""
+    docstring).  A certified rule holds for every satisfying operator, so it
+    draws no trials and has no counterexamples.  An uncertified one draws its
+    seeded trial assignments from the basis and reports, for each trial, the
+    witness of every concluded space its operator escapes.  Either way a
+    requires_nonzero coefficient that vanishes on the whole basis raises."""
     gens = make_rep(spec)
-    targets = conclusion_spaces(rule, spec, params, flag_prefix)
+    targets = conclusion_spaces(rule, spec, params)
     names, basis = _predicate_basis(rule, spec, params)
-    ops = (CoeffAssignment(spec, dict(zip(names, v))).operator(gens) for v in basis)
-    certified = _certified(ops, targets, spec, params)
+    if any(all(v[names.index(nm)].is_zero() for v in basis) for nm in rule.requires_nonzero):
+        raise RuntimeError(f"could not sample a nondegenerate assignment for {rule.id}")
+    certified = all(next(target_escapes(op, targets, spec, params), None) is None
+                    for op in _basis_operators(spec, names, basis, gens))
     counterexamples = []
-    for t in range(trials):
+    for t in range(0 if certified else trials):
         rng = random.Random((seed, rule.id, str(params), t).__str__())
         asg = _draw(rule, spec, names, basis, rng)
-        if certified:
-            continue
-        op = asg.operator(gens)
-        for desc, target in targets:
-            if isinstance(target, SpaceSpec):
-                res = action_matrix(op, target)
-                if not res.preserved:
-                    esc = res.escapes[0]
-                    counterexamples.append({
-                        "trial": t, "space": desc,
-                        "witness": f"{esc.source} -> {esc.monomial} "
-                                   f"(coeff {esc.coeff})",
-                        "assignment": asg.to_json()})
-            else:
-                _, con = target
-                if not _check_unbounded_even(op, con, spec, params):
-                    counterexamples.append({"trial": t, "space": desc,
-                                            "witness": "odd-row overflow",
-                                            "assignment": asg.to_json()})
+        counterexamples += [{"trial": t, "space": desc, "witness": witness,
+                             "assignment": asg.to_json()}
+                            for desc, witness in target_escapes(asg.operator(gens), targets,
+                                                                spec, params)]
     return {"rule": rule.id, "algebra": spec.algebra,
             "params": {k: str(Scalar.of(v)) for k, v in params.items()},
             "trials": trials, "targets": [d for d, _ in targets],
@@ -596,9 +596,7 @@ def constrained_param_count(rule: CaseRule, spec: RepSpec,
                             params: Dict[str, object]) -> int:
     """Exact dimension of the operator family cut out by a rule's predicate."""
     names, basis = _predicate_basis(rule, spec, params)
-    gens = make_rep(spec)
-    ops = [CoeffAssignment(spec, dict(zip(names, v))).operator(gens) for v in basis]
-    r = rank(flatten_ops(ops))
+    r = rank(flatten_ops(list(_basis_operators(spec, names, basis, make_rep(spec)))))
     if spec.algebra == "sl2q":
         r += 1
     return r

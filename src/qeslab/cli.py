@@ -23,7 +23,7 @@ from typing import List, Sequence
 
 from .classify import (CoeffAssignment, case_jobs, classify_grading,
                        conclusion_spaces, constrained_param_count, find_rule,
-                       match_cases, verify_case)
+                       match_cases, target_escapes, verify_case)
 from .dsl import EvalContext, ParseError, evaluate, operator_to_dsl, parse_operator, print_ast
 from .enveloping import (burnside_span_rank, grading, make_word, param_count,
                          coefficient_shape_check, verify_relations,
@@ -32,7 +32,7 @@ from .identities import IDENTITY_IDS, verify_identity
 from .operators import LinOperator, commutator
 from .reps import ALGEBRAS, RepSpec, make_rep, verify_structure
 from .scalars import QParam, Scalar
-from .spaces import SpaceSpec, action_matrix, dimension, parse_space, preserves
+from .spaces import SpaceSpec, action_matrix, dimension, parse_space
 from .spectral import (build_matrix_example, matrix_example_residuals,
                        sextic_potential, sextic_reduction, spectrum)
 
@@ -212,9 +212,10 @@ def cmd_classify(args) -> int:
         rule = find_rule(spec, m["id"])
         params = {"n": spec.n, "m": spec.m}
         params.update({k: Fraction(v) for k, v in m["params"].items()})
-        for desc, target in conclusion_spaces(rule, spec, params):
-            if isinstance(target, SpaceSpec) and preserves(op, target):
-                confirmed.append(desc)
+        spaces = [(d, t) for d, t in conclusion_spaces(rule, spec, params)
+                  if isinstance(t, SpaceSpec)]
+        escaped = {d for d, _ in target_escapes(op, spaces, spec, params)}
+        confirmed += [d for d, _ in spaces if d not in escaped]
     report.matched_rules = matches
     report.confirmed_spaces = sorted(set(confirmed))
     payload = report.to_json()

@@ -185,9 +185,3 @@ def quantum_plane_system(q: ScalarLike,
         (dy, dx): expr((q, (dx, dy))),
     }
     return RewriteSystem("quantum_plane", tuple(symbols), rules)
-
-
-def two_pair_q_system(q: ScalarLike) -> RewriteSystem:
-    """The abstract double of the quantum plane: Q1 Q2 = q Q2 Q1 etc."""
-    return quantum_plane_system(q, TWO_PAIR)
-

@@ -229,14 +229,6 @@ class LinOperator:
                 out = out + c * g
         return out
 
-    def apply(self, f):
-        """Apply to a Poly or SuperPoly, returning the same kind."""
-        if isinstance(f, SuperPoly):
-            if not self.ctx.theta:
-                raise ContextMismatchError("even/odd input fed to an even-only operator")
-            return SuperPoly.from_poly(self.apply_poly(f.to_poly()))
-        return self.apply_poly(f)
-
     # -- composition ------------------------------------------------------------
 
     def _push_word(self, w: DerivWord, c: Poly) -> List[Tuple[DerivWord, Poly]]:

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from qeslab import classify
 from qeslab.classify import (CASE_FAMILIES, CaseRule, CoeffAssignment, _param_env,
                              case_jobs, classify_grading, coefficient_words,
                              conclusion_spaces, constrained_param_count, find_rule,
-                             match_cases, rules_for, sample_assignment, verify_case)
+                             match_cases, rules_for, sample_assignment, target_escapes,
+                             verify_case)
 from qeslab.enveloping import flatten_ops, words_up_to_degree
 from qeslab.linalg import rref
+from qeslab.operators import LinOperator, OpContext
 from qeslab.reps import RepSpec, make_rep
 from qeslab.scalars import ONE, QParam, Scalar, ZERO
 from qeslab.spaces import SpaceSpec, action_matrix, flag_actions
@@ -203,6 +206,60 @@ def test_broken_predicate_is_not_certified():
     spec = RepSpec("osp22", n=S(4))
     rep = verify_case(_i11_without_second_equation(), spec, {"n": spec.n}, trials=5, seed=1)
     assert rep["certified"] is False and not rep["ok"] and rep["counterexamples"]
+
+
+def test_odd_row_overflow_is_not_certified():
+    # without its zero conditions, I.1.2b's operators push the odd row of
+    # spin(N, n-1) past n-1, so its unbounded-even conclusion fails
+    rule = find_rule(RepSpec("osp22"), "I.1.2b")
+    loose = dataclasses.replace(rule, requires_zero=[])
+    for n in (4, 5, 7):
+        spec = RepSpec("osp22", n=S(n), m=S(2))
+        params = {"n": spec.n, "m": spec.m}
+        rep = verify_case(loose, spec, params, trials=6, seed=3)
+        assert rep["certified"] is False and not rep["ok"], n
+        assert [c["trial"] for c in rep["counterexamples"]] == list(range(6)), n
+        assert {c["witness"] for c in rep["counterexamples"]} == {"odd-row overflow"}, n
+        assert verify_case(rule, spec, params, trials=6, seed=3)["certified"] is True, n
+
+
+def test_unbounded_even_rows_bound():
+    # the rows spin(7, 3) and spin(9, 3) at n = 4 may reach even degree N+2,
+    # but no higher, and their odd row may not grow at all
+    spec = RepSpec("osp22", n=S(4))
+    con = {"kind": "spinor_unbounded_even", "p": [{"n": "1", "1": "-1"}]}
+    targets = [("rows", ("unbounded_even", con))]
+    ctx = OpContext(["x"], theta=True)
+    theta = ctx.var("theta")
+
+    def escapes(op):
+        return list(target_escapes(op, targets, spec, {"n": spec.n}))
+
+    def even_only(p):          # x^p on the even row, zero on the odd one
+        return LinOperator(ctx, {(0, 0): ctx.var("x", p), (0, 1): ctx.const(-1) * ctx.var("x", p) * theta})
+
+    assert escapes(even_only(2)) == []
+    assert escapes(even_only(3)) == [("rows", "odd-row overflow")]
+    assert escapes(LinOperator.mult(ctx, ctx.var("x"))) == [("rows", "odd-row overflow")]
+
+
+def test_vacuous_rule_raises():
+    spec = RepSpec("sl2", n=S(5))
+    rule = dataclasses.replace(find_rule(spec, "Lemma1.3"), requires_zero=["c_++"],
+                               requires_nonzero=["c_++"])
+    with pytest.raises(RuntimeError,
+                       match="^could not sample a nondegenerate assignment for Lemma1.3$"):
+        verify_case(rule, spec, {"n": S(5), "m": 2})
+
+
+def test_certified_rule_draws_nothing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a certified rule drew a trial assignment")
+
+    monkeypatch.setattr(classify, "_draw", no_draw)
+    spec = RepSpec("sl2", n=S(5))
+    rep = verify_case(find_rule(spec, "Lemma1.3"), spec, {"n": S(5), "m": 2})
+    assert rep["certified"] is True and rep["ok"] and rep["trials"] == 25
 
 
 def _reference_witnesses(rule, spec, params, trials, seed):

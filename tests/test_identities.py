@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.freealg import (RewriteBudgetError, expr, expr_mul, expr_pow,
-                            heisenberg_system, normal_order,
-                            q_heisenberg_system, quantum_plane_system,
-                            two_pair_q_system)
+from qeslab.freealg import (TWO_PAIR, RewriteBudgetError, expr, expr_mul,
+                            expr_pow, heisenberg_system, normal_order,
+                            q_heisenberg_system, quantum_plane_system)
 from qeslab.identities import (heisenberg_embed_check, verify_A7,
                                verify_identity)
 from qeslab.scalars import QParam, Scalar, qbinomial
@@ -36,7 +35,7 @@ def test_confluence_smoke():
     systems = [heisenberg_system(), heisenberg_system(3),
                q_heisenberg_system(Scalar(4)),
                quantum_plane_system(Scalar(Fraction(3, 2))),
-               two_pair_q_system(Scalar(2))]
+               quantum_plane_system(Scalar(2), TWO_PAIR)]
     for rs in systems:
         for _ in range(200):
             w = tuple(rng.choice(rs.order) for _ in range(rng.randint(0, 8)))
