@@ -267,6 +267,9 @@ def cmd_reduce(args) -> int:
         params = dict(kv.split("=") for kv in args.sextic.split(","))
         n, k = int(params["n"]), int(params["k"])
         a, b = Fraction(params["a"]), Fraction(params["b"])
+    if not (args.spacing > 0 and 0 < args.zmin <= args.zmax < float("inf")):
+        raise UsageError("the z grid needs --spacing > 0 and 0 < --zmin <= --zmax, "
+                         f"got {args.spacing}, {args.zmin}, {args.zmax}")
     zgrid = [args.zmin + i * args.spacing
              for i in range(int((args.zmax - args.zmin) / args.spacing) + 1)]
     red, act = sextic_reduction(n, k, a, b, zgrid)

@@ -7,6 +7,12 @@ matrix.  The scalar reduction maps -P4 f'' + P3 f' + P2 f = eps f to
 A = (1/2) int (P3/P4) dx + (1/4) log P4 (the half in front of the integral is
 forced by eliminating the first-order term; V = A'^2 - A'' + P2 follows).  The
 quartic-family change of variable x = z^2 is special-cased analytically.
+The gauge integral is a prefix sum of 8-point Gauss-Legendre panels over the
+gaps between consecutive sorted nodes, each panel halved until it agrees
+with its halves.  Off the special case, x(z) is solved node after node in z
+order by Newton steps on the exact dz/dx = 1/sqrt(P4), each step one panel
+integral from the node before.  A reduction is linear in the number of grid
+nodes.
 
 The 2x2 matrix example reduces with x = y^2 and the gauge factor
 exp(-alpha y^2/4 + i beta y^2 sigma_1/4); the transformed operator is
@@ -137,12 +143,13 @@ def build_sextic(n: int, k: int, a, b) -> CoeffAssignment:
 
 def sextic_potential(n: int, k: int, a, b, zgrid: Sequence[float]) -> List[float]:
     """V(z) = a^2 z^6 + 2ab z^4 + (b^2 - (4n+3+2k)a) z^2, evaluated exactly."""
-    a, b = Scalar.of(a), Scalar.of(b)
-    c6 = a * a
-    c4 = Scalar(2) * a * b
-    c2 = b * b - Scalar(4 * n + 3 + 2 * k) * a
-    return [float((c6 * s ** 6 + c4 * s ** 4 + c2 * s ** 2).re)
-            for s in (Scalar(Fraction(z).limit_denominator(10 ** 12)) for z in zgrid)]
+    a, b = Scalar.of(a).re, Scalar.of(b).re
+    c6, c4, c2 = a * a, 2 * a * b, b * b - (4 * n + 3 + 2 * k) * a
+    out = []
+    for z in zgrid:
+        s2 = Fraction(z).limit_denominator(10 ** 12) ** 2
+        out.append(float(((c6 * s2 + c4) * s2 + c2) * s2))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -150,7 +157,11 @@ def sextic_potential(n: int, k: int, a, b, zgrid: Sequence[float]) -> List[float
 
 def adaptive_simpson(f: Callable[[float], float], lo: float, hi: float,
                      rel_tol: float = 1e-10) -> float:
-    """Classic adaptive Simpson quadrature."""
+    """Classic adaptive Simpson quadrature.
+
+    The reduction no longer uses it (see panel_integral); the benchmark's
+    gauge-column kernel row still times it.
+    """
     def simpson(a, b, fa, fm, fb):
         return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -172,6 +183,45 @@ def adaptive_simpson(f: Callable[[float], float], lo: float, hi: float,
     return recurse(lo, hi, fa, fm, fb, whole, rel_tol, 0)
 
 
+# 8-point Gauss-Legendre rule on [-1, 1]: nodes -t and +t, each of weight w
+GAUSS_LEGENDRE_8 = ((0.18343464249564978, 0.36268378337836166),
+                    (0.525532409916329, 0.3137066458778869),
+                    (0.7966664774136267, 0.22238103445337443),
+                    (0.9602898564975362, 0.10122853629037706))
+PANEL_TOL = 1e-12           # |halves - whole| <= PANEL_TOL * max(1, |whole|)
+PANEL_DEPTH = 50            # halvings of one panel before the quadrature gives up
+NEWTON_STEPS = 64           # Newton or bisection steps per node before x(z) gives up
+
+
+def _gauss8(f: Callable[[float], float], a: float, b: float) -> float:
+    h = 0.5 * (b - a)
+    m = a + h
+    acc = 0.0
+    for t, w in GAUSS_LEGENDRE_8:
+        acc += w * (f(m - h * t) + f(m + h * t))
+    return h * acc
+
+
+def panel_integral(f: Callable[[float], float], a: float, b: float) -> float:
+    """int_a^b f (signed, b < a allowed) by 8-point Gauss-Legendre panels.
+
+    A panel is accepted when its two halves sum to it within PANEL_TOL;
+    otherwise each half is split the same way.  The error control looks only
+    at f, never at how the caller spaced its nodes.  Past PANEL_DEPTH
+    halvings it raises instead of returning an unconverged value.
+    """
+    def split(a, b, whole, depth):
+        m = 0.5 * (a + b)
+        left, right = _gauss8(f, a, m), _gauss8(f, m, b)
+        if abs(left + right - whole) <= PANEL_TOL * max(1.0, abs(whole)):
+            return left + right
+        if depth == PANEL_DEPTH:
+            raise ValueError(f"quadrature did not converge on [{a!r}, {b!r}]")
+        return split(a, m, left, depth + 1) + split(m, b, right, depth + 1)
+
+    return split(a, b, _gauss8(f, a, b), 0)
+
+
 @dataclass
 class SchrodingerReduction:
     zgrid: List[float]
@@ -189,8 +239,20 @@ class SchrodingerReduction:
 
 
 def _poly_fn(p: Poly) -> Callable[[float], float]:
-    terms = [(e[0], complex(c.to_complex())) for e, c in p.terms.items()]
-    return lambda x: float(sum(c.real * x ** k for k, c in terms))
+    """Evaluate a one-variable Poly on the real parts of its coefficients.
+
+    Terms are summed in the Poly's order, not by Horner: the two round
+    differently, and the potential samples (hence the deviation in the
+    ``qeslab reduce`` report) are fixed by this order.
+    """
+    terms = [(e[0], float(c.re)) for e, c in p.terms.items()]
+
+    def f(x: float) -> float:
+        acc = 0.0
+        for k, c in terms:
+            acc += c * x ** k
+        return acc
+    return f
 
 
 def operator_p_coeffs(op: LinOperator) -> Tuple[Poly, Poly, Poly]:
@@ -203,14 +265,49 @@ def operator_p_coeffs(op: LinOperator) -> Tuple[Poly, Poly, Poly]:
     return -a2, a1, a0
 
 
+def _walks(ref: float, points: Sequence[float]) -> List[List[float]]:
+    """The sorted distinct points split at ref into two walks outward from it,
+    each starting at ref."""
+    ordered = sorted(set(points) | {ref})
+    r = ordered.index(ref)
+    return [ordered[r:], ordered[r::-1]]
+
+
+def _solve_x(rate: Callable[[float], float], xp: float, zp: float, z: float,
+             edge: float) -> float:
+    """The x between xp and edge with zp + int_xp^x rate = z, where
+    rate = dz/dx = 1/sqrt(P4) > 0: Newton steps from the tangent guess,
+    bisecting the bracket whenever a step leaves it."""
+    a, b = (xp, edge) if xp <= edge else (edge, xp)
+    x = xp + (z - zp) / rate(xp)
+    for _ in range(NEWTON_STEPS):
+        if not a <= x <= b:
+            x = 0.5 * (a + b)
+        miss = zp + panel_integral(rate, xp, x) - z
+        if miss < 0:
+            a = x
+        else:
+            b = x
+        step = miss / rate(x)
+        x -= step
+        if abs(step) <= 1e-13 * max(1.0, abs(x)):
+            return x
+    raise ValueError(f"x(z) did not converge at z = {z!r}")
+
+
 def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
                           domain: Tuple[float, float],
                           zgrid: Sequence[float] | None = None,
                           spacing: float = 1e-3) -> SchrodingerReduction:
     """Change of variable z = int dx/sqrt(P4) plus gauge, sampled on a z-grid.
 
-    P4 must be positive on the domain interior; x(z) is analytic for the
-    c*x quartic-family case and monotone bisection otherwise.
+    P4 must be positive on the domain interior, and every z node must lie in
+    the domain's image [z(lo), z(hi)].  x(z) is closed form for the c*x
+    quartic-family case; otherwise the nodes are solved in z order outward
+    from the domain midpoint (z = 0), each by Newton steps from the node
+    before it.  The gauge integral is a prefix sum of panel integrals over
+    the gaps between sorted nodes, outward from the middle node.  After
+    one sort of the nodes the work is linear in their number.
     """
     f4, f3, f2 = _poly_fn(p4), _poly_fn(p3), _poly_fn(p2)
     lo, hi = domain
@@ -223,32 +320,13 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
               and abs(lo) < 1e-12)
     if linear:
         c = float(p4.coefficient_of(p4.vars[0], 1).constant_value().re)
-        x_of_z_fn = lambda z: c * z * z / 4.0
         z_of_x = lambda x: 2.0 * math.sqrt(x / c)
+        zrange = (0.0, z_of_x(hi))
     else:
-        zcache: Dict[float, float] = {}
         x0 = 0.5 * (lo + hi)
-
-        def z_of_x(x: float) -> float:
-            if x not in zcache:
-                zcache[x] = adaptive_simpson(lambda t: 1.0 / math.sqrt(f4(t)), x0, x)
-            return zcache[x]
-
-        def x_of_z_fn(z: float) -> float:
-            a, b = lo + 1e-12, hi - 1e-12
-            if z <= z_of_x(a):
-                return a
-            if z >= z_of_x(b):
-                return b
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                if b - a < 1e-12 * max(1.0, abs(mid)):
-                    break
-                if z_of_x(mid) < z:
-                    a = mid
-                else:
-                    b = mid
-            return 0.5 * (a + b)
+        rate = lambda t: 1.0 / math.sqrt(f4(t))
+        z_of_x = lambda x: panel_integral(rate, x0, x)
+        zrange = (z_of_x(lo), z_of_x(hi))
 
     if zgrid is None:
         zl = z_of_x(max(lo, (hi - lo) * 1e-6) if linear else lo + (hi - lo) * 1e-3)
@@ -256,20 +334,30 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
         count = max(5, int((zh - zl) / spacing))
         zgrid = [zl + i * (zh - zl) / count for i in range(count + 1)]
     zgrid = list(zgrid)
+    for z in zgrid:
+        if not zrange[0] <= z <= zrange[1]:
+            raise ValueError(f"z node {z!r} lies outside the domain's image "
+                             f"[{zrange[0]!r}, {zrange[1]!r}]")
 
-    xs = [x_of_z_fn(z) for z in zgrid]
+    if linear:
+        xs = [c * z * z / 4.0 for z in zgrid]
+    else:
+        x_at: Dict[float, float] = {}
+        for walk, edge in zip(_walks(0.0, zgrid), (hi, lo)):
+            xp = x0
+            for zp, z in zip(walk, walk[1:]):
+                xp = x_at[z] = _solve_x(rate, xp, zp, z, edge)
+        x_at[0.0] = x0
+        xs = [x_at[z] for z in zgrid]
 
     # gauge exponent A(x) = (1/2) int (P3/P4) + (1/4) log P4
     xref = xs[len(xs) // 2]
-    acache: Dict[float, float] = {}
-
-    def gauge_at(x: float) -> float:
-        if x not in acache:
-            val = 0.5 * adaptive_simpson(lambda t: f3(t) / f4(t), xref, x)
-            acache[x] = val + 0.25 * math.log(f4(x))
-        return acache[x]
-
-    gauge = [gauge_at(x) for x in xs]
+    ratio = lambda t: f3(t) / f4(t)
+    prim = {xref: 0.0}
+    for walk in _walks(xref, xs):
+        for u, v in zip(walk, walk[1:]):
+            prim[v] = prim[u] + panel_integral(ratio, u, v)
+    gauge = [0.5 * prim[x] + 0.25 * math.log(f4(x)) for x in xs]
 
     # V = B^2 - A''(z) + P2, all exact rational functions of x
     f4p = _poly_fn(_dpoly(p4))

@@ -57,6 +57,11 @@ def test_usage_error_exit_code(capsys):
     ["param-count", "--algebra", "sl3", "--n", "2", "--matrix"],
     ["verify", "--suite", "structure", "--trials", "-3"],
     ["verify", "--suite", "cases", "--trials", "0"],
+    ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--spacing", "0"],
+    ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--spacing=-1e-3"],
+    ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmin", "0"],
+    ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmin=-1"],
+    ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmax", "0.05"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert run_command(argv) == 2

@@ -11,12 +11,14 @@ from qeslab.poly import Poly
 from qeslab.reps import RepSpec
 from qeslab.scalars import Scalar
 from qeslab.spaces import SpaceSpec, action_matrix
-from qeslab.spectral import (NonSquareError, adaptive_simpson,
+from qeslab import spectral
+from qeslab.spectral import (GAUSS_LEGENDRE_8, NonSquareError, adaptive_simpson,
                              build_matrix_example, build_sextic,
                              eigenlaw_check, exact_rational_eigenvalues,
                              matrix_example_residuals, operator_p_coeffs,
-                             reduce_to_schrodinger, schrodinger_residual,
-                             sextic_potential, sextic_reduction, spectrum)
+                             panel_integral, reduce_to_schrodinger,
+                             schrodinger_residual, sextic_potential,
+                             sextic_reduction, spectrum)
 
 S = Scalar
 ZGRID = [0.1 + i * 1e-3 for i in range(2901)]       # z in [0.1, 3]
@@ -125,6 +127,87 @@ def test_sextic_potential_samples():
 def test_adaptive_simpson():
     assert abs(adaptive_simpson(lambda t: t * t, 0, 3) - 9.0) < 1e-12
     assert abs(adaptive_simpson(math.exp, 0, 1) - (math.e - 1)) < 1e-10
+
+
+def test_gauss_legendre_constants():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    rule = sorted((s * t, w) for t, w in GAUSS_LEGENDRE_8 for s in (-1, 1))
+    assert len(rule) == 8
+    for (t, w), t_ref, w_ref in zip(rule, nodes, weights):
+        assert abs(t - t_ref) < 1e-15 and abs(w - w_ref) < 1e-15
+
+
+def test_panel_integral():
+    assert abs(panel_integral(lambda t: t ** 15, 0, 1) - 1 / 16) < 1e-15
+    assert abs(panel_integral(math.exp, 0, 1) - (math.e - 1)) < 1e-14
+    assert abs(panel_integral(math.exp, 1, 0) + (math.e - 1)) < 1e-14
+    assert panel_integral(math.exp, 2.0, 2.0) == 0.0
+    with pytest.raises(ValueError, match="did not converge"):
+        panel_integral(lambda t: 1 / t, 0, 1)
+
+
+def _curved_polys(c1, c0):
+    """P4 = 1 + x^2, P3 = c1 x + c0, P2 = 1: z = asinh x, and
+    int P3/P4 = c1/2 log(1 + x^2) + c0 atan x."""
+    return (Poly(("x",), {(0,): 1, (2,): 1}), Poly(("x",), {(1,): c1, (0,): c0}),
+            Poly(("x",), {(0,): 1}))
+
+
+def _curved_gauge(c1, c0, zs):
+    def g(x):
+        return c1 / 2 * math.log1p(x * x) + c0 * math.atan(x)
+    gref = g(math.sinh(zs[len(zs) // 2]))
+    return [(g(math.sinh(z)) - gref) / 2 + math.log1p(math.sinh(z) ** 2) / 4
+            for z in zs]
+
+
+@pytest.mark.parametrize("zs", [
+    random.Random(7).sample([-1.3 + i * 0.0125 for i in range(217)], 217),
+    [1.4, -1.4, 0.3, 0.3, -0.05],           # sparse: long Newton steps
+])
+def test_curved_reduction_closed_form(zs):
+    c1, c0 = 3, -2
+    red = reduce_to_schrodinger(*_curved_polys(c1, c0), (-2.0, 2.0), zgrid=zs)
+    assert red.zgrid == zs
+    xref = red.x_of_z[len(zs) // 2]
+    assert min(red.x_of_z) < xref < max(red.x_of_z)
+    assert max(abs(x - math.sinh(z)) for x, z in zip(red.x_of_z, zs)) < 1e-12
+    gauge = _curved_gauge(c1, c0, zs)
+    assert max(abs(u - v) for u, v in zip(red.gauge, gauge)) < 1e-10
+
+
+def test_x_of_z_steps_stay_in_the_domain():
+    # P4 = 1 - x^2: z = asin x; the tangent guess from x = 0 for z = 1.1
+    # lands past the domain edge, where P4 < 0, so the step must bisect
+    one_minus_x2 = Poly(("x",), {(0,): 1, (2,): -1})
+    zero = Poly(("x",), {})
+    zs = [1.1, -1.1, 0.2]
+    red = reduce_to_schrodinger(one_minus_x2, zero, zero, (-0.9, 0.9), zgrid=zs)
+    assert max(abs(x - math.sin(z)) for x, z in zip(red.x_of_z, zs)) < 1e-12
+
+
+@pytest.mark.parametrize("p4,domain,zs,bad", [
+    (Poly(("x",), {(0,): 1, (2,): 1}), (-2.0, 2.0), [0.0, 1.5], 1.5),
+    (Poly(("x",), {(0,): 1, (2,): 1}), (-2.0, 2.0), [-1.5, 0.0], -1.5),
+    (Poly(("x",), {(1,): 4}), (0.0, 4.0), [-0.5, 0.5, 1.0], -0.5),
+    (Poly(("x",), {(1,): 4}), (0.0, 4.0), [0.5, 2.5], 2.5),
+])
+def test_reduce_rejects_nodes_outside_the_image(p4, domain, zs, bad):
+    # z(hi) is asinh 2 = 1.4436... for 1 + x^2 and 2 for 4x; z(lo) is -z(hi)
+    # and 0
+    zero = Poly(("x",), {})
+    with pytest.raises(ValueError, match=rf"z node {bad!r} lies outside the "
+                                         r"domain's image \[-?[0-9.]+, [0-9.]+\]"):
+        reduce_to_schrodinger(p4, zero, zero, domain, zgrid=zs)
+
+
+def test_reduction_does_not_call_adaptive_simpson(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("adaptive_simpson called")
+    monkeypatch.setattr(spectral, "adaptive_simpson", boom)
+    sextic_reduction(1, 0, 1, 0, ZGRID)
+    reduce_to_schrodinger(*_curved_polys(1, 0), (-2.0, 2.0),
+                          zgrid=[-0.8 + i * 1.6 / 288 for i in range(289)])
 
 
 def test_reduce_trivial_identity_change():
