@@ -331,18 +331,10 @@ def _space_from_conclusion(con: dict, spec: RepSpec, params: Dict[str, object],
         if v.denominator != 1:
             return None
         vals.append(int(v))
-    kind = con.get("family", con["kind"])
-    if kind == "interval" and vals[0] >= 0:
-        return SpaceSpec("interval", (vals[0],))
-    if kind == "spinor" and vals[0] >= 0 and vals[1] >= -1:
-        return SpaceSpec("spinor", tuple(vals))
-    if kind == "triangle" and vals[0] >= 0:
-        return SpaceSpec("triangle", (vals[0],))
-    if kind == "rectangle" and min(vals) >= 0:
-        return SpaceSpec("rectangle", tuple(vals))
-    if kind == "wedge" and vals[0] >= 1 and vals[1] >= 0:
-        return SpaceSpec("wedge", tuple(vals))
-    return None
+    try:
+        return SpaceSpec(con.get("family", con["kind"]), tuple(vals))
+    except ValueError:  # parameters out of the space's range at this instance
+        return None
 
 
 def conclusion_spaces(rule: CaseRule, spec: RepSpec,
@@ -375,7 +367,8 @@ def conclusion_spaces(rule: CaseRule, spec: RepSpec,
                     if s is not None:
                         out.append((f"{s} (family member {a},{b})", s))
         elif kind == "spinor_unbounded_even":
-            out.append((f"unbounded-even spinor rows M={con['p'][0]}", ("unbounded_even", con)))
+            out.append((f"unbounded-even spinor rows M={_even_mark(con, spec, params)}",
+                        ("unbounded_even", con)))
     return out
 
 
@@ -523,11 +516,16 @@ def case_jobs(rng: random.Random) -> Iterator[Tuple[RepSpec, CaseRule, Dict[str,
                 yield spec, rule, params, t
 
 
+def _even_mark(con: dict, spec: RepSpec, params: Dict[str, object]) -> int:
+    """The odd-row mark M of an unbounded-even spinor conclusion."""
+    return int(_affine(con["p"][0], _param_env(spec, params)).re)
+
+
 def _even_rows(con: dict, spec: RepSpec,
                params: Dict[str, object]) -> List[Tuple[SpaceSpec, int]]:
     """The two rows spin(N, M) of an unbounded-even spinor conclusion, each
     with the even degree N+2 its images may reach."""
-    M = int(_affine(con["p"][0], _param_env(spec, params)).re)
+    M = _even_mark(con, spec, params)
     top = max(int(Scalar.of(params["n"]).re), M)
     return [(SpaceSpec("spinor", (N, M)), N + 2) for N in (top + 3, top + 5)]
 

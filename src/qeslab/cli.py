@@ -528,19 +528,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     sub_kw = {"parents": [shared]}
 
-    def common(sp, algebra=True, op=False, space=False):
-        if algebra:
-            sp.add_argument("--algebra", choices=ALGEBRAS)
-            sp.add_argument("--n")
-            sp.add_argument("--m", default="0")
-            sp.add_argument("--q")
-            sp.add_argument("--r", type=int, default=1)
-            sp.add_argument("--k", type=int, default=2)
-            sp.add_argument("--vars")
+    def common(sp, op=False):
+        sp.add_argument("--algebra", choices=ALGEBRAS)
+        sp.add_argument("--n")
+        sp.add_argument("--m", default="0")
+        sp.add_argument("--q")
+        sp.add_argument("--r", type=int, default=1)
+        sp.add_argument("--k", type=int, default=2)
+        sp.add_argument("--vars")
         if op:
             sp.add_argument("--op", required=True)
-        if space:
-            sp.add_argument("--space", required=space == "required")
 
     sp = sub.add_parser("rep", **sub_kw, help="show or verify a generator family")
     sp.add_argument("action", choices=("show", "verify"))

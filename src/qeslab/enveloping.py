@@ -30,8 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .freealg import FreeExpr, Word
 from .linalg import nullspace, rank
-from .operators import LinOperator, MatrixOperator, to_matrix_operator
-from .poly import SuperPoly
+from .operators import LinOperator, MatrixOperator, even_odd, to_matrix_operator
 from .reps import (GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep,
                    sl2q_constants)
 from .scalars import ONE, Scalar, ZERO
@@ -429,8 +428,8 @@ def coefficient_profile(op: LinOperator) -> Dict[Tuple[Tuple[int, ...], int], in
     for w, c in op.terms.items():
         word = w[:-1] if theta else w
         if theta:
-            split = SuperPoly.from_poly(c)
-            parts = [(split.even, 0), (split.odd, 1)]
+            even, odd = even_odd(c)
+            parts = [(even, 0), (odd, 1)]
         else:
             parts = [(c, 0)]
         for part, odd in parts:

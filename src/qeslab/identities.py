@@ -2,10 +2,12 @@
 
 Concrete items (A1, A4, A5, A7, A8, A12) expand through the operator engine
 or quantum-plane normal ordering and compare canonically with their closed
-right-hand sides; abstract items (A2, A6, A9, A14) live in the free algebra;
-A3 and A10 embed the one-variable bracket tables into (deformed) Heisenberg
-pairs.  A7's remainder beyond the main binomial sum is returned with the
-verdict, with its top-order block checked against the catalogued rows.
+right-hand sides; A1, A4, A5, A7 and A8 share one raising generator and one
+multinomial closed form for its power.  Abstract items (A2, A6, A9, A14)
+live in the free algebra; A3 and A10 embed the one-variable bracket tables
+into (deformed) Heisenberg pairs.  A7's remainder beyond the main binomial
+sum is returned with the verdict, with its top-order block checked against
+the catalogued rows.
 """
 
 from __future__ import annotations
@@ -19,27 +21,49 @@ from .freealg import (FreeExpr, expr, expr_add, expr_mul, expr_pow,
                       q_heisenberg_system, quantum_plane_system, QUANTUM_PLANE,
                       TWO_PAIR)
 from .operators import LinOperator, OpContext
-from .poly import Poly
 from .reps import RepSpec, sl2q_constants
 from .scalars import DegenerateQError, QParam, Scalar, ScalarLike, ZERO, qbinomial, qnumber
 
 
-def _mult(ctx: OpContext, p: Poly) -> LinOperator:
-    return LinOperator.mult(ctx, p)
+def _raising(ctx: OpContext, names: Sequence[str], weights: Sequence[ScalarLike],
+             c: ScalarLike) -> LinOperator:
+    """x1 (sum_v w_v x_v D_v - c), with x1 = names[0]."""
+    euler = -LinOperator.identity(ctx).scale(c)
+    for v, w in zip(names, weights):
+        euler = euler + (LinOperator.mult(ctx, ctx.var(v))
+                         * LinOperator.deriv(ctx, v)).scale(w)
+    return LinOperator.mult(ctx, ctx.var(names[0])) * euler
 
 
-def _raising_1var(ctx: OpContext, n: ScalarLike) -> LinOperator:
-    x2 = ctx.var("x", 2)
-    x = ctx.var("x")
-    d = LinOperator.deriv(ctx, "x")
-    return _mult(ctx, x2) * d - _mult(ctx, x).scale(Scalar.of(n))
+def _raising_power(ctx: OpContext, names: Sequence[str],
+                   weights: Sequence[ScalarLike], n: int) -> LinOperator:
+    """Closed form of _raising(ctx, names, weights, n) ** (n + 1): the sum over
+    compositions p of n+1 of multinomial(p) prod w_v^p_v x1^(n+1+p_1)
+    prod_{v>1} x_v^p_v prod D_v^p_v.  Terms that square the odd variable or
+    its derivative drop out in the Poly and LinOperator constructors."""
+    slots = [ctx.all_vars.index(v) for v in names]
+    terms = {}
+    for parts in _compositions(n + 1, len(names)):
+        word = [0] * len(ctx.all_vars)
+        coeff = Scalar(_multinomial(parts))
+        for i, w, p in zip(slots, weights, parts):
+            word[i] = p
+            coeff = coeff * Scalar.of(w) ** p
+        exp = list(word)
+        exp[slots[0]] += n + 1
+        terms[tuple(word)] = ctx.poly({tuple(exp): coeff})
+    return LinOperator(ctx, terms)
+
+
+def _jplus(n: Scalar) -> FreeExpr:
+    """J+ = Q^2 P - n Q over one Heisenberg pair."""
+    return expr((1, ("Q", "Q", "P")), (-n, ("Q",)))
 
 
 def verify_A1(n: int) -> dict:
     ctx = OpContext(["x"])
-    lhs = _raising_1var(ctx, n) ** (n + 1)
-    rhs = _mult(ctx, ctx.var("x", 2 * n + 2)) * LinOperator.deriv(ctx, "x", n + 1)
-    return {"id": "A1", "n": n, "ok": lhs == rhs}
+    lhs = _raising(ctx, ["x"], [1], n) ** (n + 1)
+    return {"id": "A1", "n": n, "ok": lhs == _raising_power(ctx, ["x"], [1], n)}
 
 
 def verify_A2(n_values: Sequence[ScalarLike] = (0, 1, 2, 3, 4)) -> dict:
@@ -52,8 +76,7 @@ def verify_A2(n_values: Sequence[ScalarLike] = (0, 1, 2, 3, 4)) -> dict:
         if not (n.is_rational() and n.re.denominator == 1 and n.re >= 0):
             continue
         k = int(n.re)
-        jplus = expr((1, ("Q", "Q", "P")), (-n, ("Q",)))
-        lhs = expr_pow(jplus, k + 1, rs)
+        lhs = expr_pow(_jplus(n), k + 1, rs)
         rhs = expr((1, tuple(["Q"] * (2 * k + 2) + ["P"] * (k + 1))))
         results.append((k, not expr_sub(lhs, normal_order(rhs, rs))))
     return {"id": "A2", "ok": all(ok for _, ok in results),
@@ -66,10 +89,9 @@ def verify_A3(n_values: Sequence[ScalarLike] = (0, 1, Fraction(5, 2))) -> dict:
     rows = []
     for n in n_values:
         n = Scalar.of(n)
-        jp = expr((1, ("Q", "Q", "P")), (-n, ("Q",)))
+        jp = _jplus(n)
         j0 = expr((1, ("Q", "P")), (-n / Scalar(2), ()))
         jm = expr((1, ("P",)))
-        half = Scalar(Fraction(1, 2))
         checks = [
             ("[J0,J+]=J+", expr_sub(_comm(j0, jp), jp)),
             ("[J0,J-]=-J-", expr_sub(_comm(j0, jm), expr_scale(jm, -1))),
@@ -91,27 +113,12 @@ def verify_A4(n: int, grassmann: bool = False) -> dict:
     With the second variable anticommuting only the k = 0, 1 terms survive.
     """
     if grassmann:
-        ctx = OpContext(["x"], theta=True)
-        yvar, ydname = "theta", "theta"
+        ctx, names = OpContext(["x"], theta=True), ["x", "theta"]
     else:
-        ctx = OpContext(["x", "y"])
-        yvar, ydname = "y", "y"
-    x = ctx.var("x")
-    jop = (_mult(ctx, ctx.var("x", 2)) * LinOperator.deriv(ctx, "x")
-           + _mult(ctx, x * ctx.var(yvar)) * LinOperator.deriv(ctx, ydname)
-           - _mult(ctx, x).scale(n))
-    lhs = jop ** (n + 1)
-    rhs = LinOperator.zero(ctx)
-    kmax = 1 if grassmann else n + 1
-    for k in range(kmax + 1):
-        coeff = comb(n + 1, k)
-        mono = ctx.var("x", 2 * n + 2 - k) * ctx.var(yvar, k)
-        term = _mult(ctx, mono).scale(coeff) * \
-            LinOperator.deriv(ctx, "x", n + 1 - k)
-        if k:
-            term = term * LinOperator.deriv(ctx, ydname, k)
-        rhs = rhs + term
-    out = {"id": "A4", "n": n, "grassmann": grassmann, "ok": lhs == rhs}
+        ctx, names = OpContext(["x", "y"]), ["x", "y"]
+    lhs = _raising(ctx, names, [1, 1], n) ** (n + 1)
+    out = {"id": "A4", "n": n, "grassmann": grassmann,
+           "ok": lhs == _raising_power(ctx, names, [1, 1], n)}
     if grassmann:
         out["surviving_terms"] = len(lhs.terms)
     return out
@@ -130,24 +137,8 @@ def verify_A5(k: int, n: int) -> dict:
     the left side annihilates the total-degree simplex."""
     vars = tuple(f"x{i}" for i in range(1, k + 1))
     ctx = OpContext(vars)
-    x1 = ctx.var("x1")
-    euler = LinOperator.zero(ctx)
-    for v in vars:
-        euler = euler + _mult(ctx, ctx.var(v)) * LinOperator.deriv(ctx, v)
-    jop = _mult(ctx, x1) * (euler - LinOperator.identity(ctx).scale(n))
-    lhs = jop ** (n + 1)
-    rhs = LinOperator.zero(ctx)
-    for parts in _compositions(n + 1, k):
-        coeff = _multinomial(parts)
-        mono = ctx.var("x1", n + 1 + parts[0])
-        for v, p in zip(vars[1:], parts[1:]):
-            mono = mono * ctx.var(v, p)
-        term = _mult(ctx, mono).scale(coeff)
-        for v, p in zip(vars, parts):
-            if p:
-                term = term * LinOperator.deriv(ctx, v, p)
-        rhs = rhs + term
-    ok = lhs == rhs
+    lhs = _raising(ctx, vars, [1] * k, n) ** (n + 1)
+    ok = lhs == _raising_power(ctx, vars, [1] * k, n)
     # annihilation of the simplex
     from .spaces import SpaceSpec, enumerate_basis
     s = SpaceSpec("simplex", (k, n))
@@ -203,34 +194,20 @@ def verify_A7(r: int, n: int) -> dict:
     checked, and the full remainder returned as data."""
     ctx = OpContext(["x", "y"])
     x, y = ctx.var("x"), ctx.var("y")
-    jop = (_mult(ctx, ctx.var("x", 2)) * LinOperator.deriv(ctx, "x")
-           + (_mult(ctx, x * y) * LinOperator.deriv(ctx, "y")).scale(r)
-           - _mult(ctx, x).scale(n))
-    lhs = jop ** (n + 1)
-    main = LinOperator.zero(ctx)
-    for k in range(n + 2):
-        coeff = Scalar(r) ** k * Scalar(comb(n + 1, k))
-        mono = ctx.var("x", 2 * n + 2 - k) * ctx.var("y", k)
-        term = _mult(ctx, mono).scale(coeff)
-        if n + 1 - k:
-            term = term * LinOperator.deriv(ctx, "x", n + 1 - k)
-        if k:
-            term = term * LinOperator.deriv(ctx, "y", k)
-        main = main + term
-    remainder = lhs - main
+    lhs = _raising(ctx, ["x", "y"], [1, r], n) ** (n + 1)
+    remainder = lhs - _raising_power(ctx, ["x", "y"], [1, r], n)
     rows_ok = True
     if n == 0:
         rows_ok = remainder.is_zero()
     elif n == 1:
-        want = (_mult(ctx, ctx.var("x", 2) * y)
-                * LinOperator.deriv(ctx, "y")).scale(r * (r - 1))
+        want = LinOperator(ctx, {(0, 1): (ctx.var("x", 2) * y).scale(r * (r - 1))})
         rows_ok = remainder == want
     elif n == 2:
-        pref = Scalar(r * (r - 1))
+        pref = r * (r - 1)
         x3y = ctx.var("x", 3) * y
-        want = (_mult(ctx, x3y * y) * LinOperator.deriv(ctx, "y", 2)).scale(pref * Scalar(3 * r)) \
-            + (_mult(ctx, x3y * x) * LinOperator.deriv(ctx, "x") * LinOperator.deriv(ctx, "y")).scale(pref * Scalar(3)) \
-            + (_mult(ctx, x3y) * LinOperator.deriv(ctx, "y")).scale(pref * Scalar(r - 2))
+        want = LinOperator(ctx, {(0, 2): (x3y * y).scale(pref * 3 * r),
+                                 (1, 1): (x3y * x).scale(pref * 3),
+                                 (0, 1): x3y.scale(pref * (r - 2))})
         rows_ok = remainder == want
     if r == 1:
         rows_ok = rows_ok and remainder.is_zero()
@@ -256,19 +233,15 @@ def verify_A8(n: int, q: ScalarLike) -> dict:
     """(x^2 D - {n} x)^(n+1) = q^(2n(n+1)) x^(2n+2) D^(n+1), shift base q^2."""
     qp = QParam(q, base="squared")
     ctx = OpContext(["x"], q=qp)
-    lhs = _raising_1var(ctx, qnumber(n, qp)) ** (n + 1)
-    scale = Scalar.of(q) ** (2 * n * (n + 1))
-    rhs = (_mult(ctx, ctx.var("x", 2 * n + 2))
-           * LinOperator.deriv(ctx, "x", n + 1)).scale(scale)
+    lhs = _raising(ctx, ["x"], [1], qnumber(n, qp)) ** (n + 1)
+    rhs = _raising_power(ctx, ["x"], [1], n).scale(Scalar.of(q) ** (2 * n * (n + 1)))
     return {"id": "A8", "n": n, "q": str(Scalar.of(q)), "ok": lhs == rhs}
 
 
 def verify_A9(n: int, q: ScalarLike) -> dict:
     qp = QParam(q, base="squared")
     rs = q_heisenberg_system(qp.b)
-    nq = qnumber(n, qp)
-    jplus = expr((1, ("Q", "Q", "P")), (-nq, ("Q",)))
-    lhs = expr_pow(jplus, n + 1, rs)
+    lhs = expr_pow(_jplus(qnumber(n, qp)), n + 1, rs)
     scale = Scalar.of(q) ** (2 * n * (n + 1))
     rhs = expr((scale, tuple(["Q"] * (2 * n + 2) + ["P"] * (n + 1))))
     return {"id": "A9", "n": n, "q": str(Scalar.of(q)),
@@ -286,7 +259,7 @@ def verify_A10(n: int, q: ScalarLike) -> dict:
     except DegenerateQError:
         return {"id": "A10", "n": n, "q": str(Scalar.of(q)), "ok": False,
                 "reason": "degenerate deformation"}
-    jp = expr((1, ("Q", "Q", "P")), (-nq, ("Q",)))
+    jp = _jplus(nq)
     j0 = expr((1, ("Q", "P")), (-nh, ()))
     jm = expr((1, ("P",)))
     checks = [
@@ -340,15 +313,6 @@ def verify_A12(n: int, q: ScalarLike) -> dict:
 def verify_A14(n: int, q: ScalarLike) -> dict:
     """A12 over the abstract two-pair double of the quantum plane."""
     return _quantum_plane_power("A14", n, q, TWO_PAIR)[0]
-
-
-def heisenberg_embed_check(kind: str, n: int | Fraction,
-                           q: ScalarLike | None = None) -> dict:
-    if kind == "A3":
-        return verify_A3([n])
-    if kind == "A10":
-        return verify_A10(int(n), q)
-    raise ValueError(f"unknown embedding {kind!r}")
 
 
 # catalogue id -> check, called with (n, q, r, k, grassmann)

@@ -26,16 +26,17 @@ defined where the q-factorials of {a}!/({k}!{a-k}!) vanish (b a root of unity).
 A context either uses continuous derivatives in all variables or a difference
 derivative in a single variable; one optional anticommuting variable rides on
 top of the continuous case.  The 2x2 matrix form replaces the anticommuting
-pair (th, d_th) by the raising/lowering matrices, upper component = th-sector.
+pair (th, d_th) by the raising/lowering matrices, upper component = th-sector;
+``even_odd`` splits a coefficient into its two sectors.  An operator's text
+form is the expression language of ``dsl``.
 """
 
 from __future__ import annotations
 
-import json
 from math import comb
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .poly import Poly, SuperPoly
+from .poly import Poly
 from .scalars import QParam, Scalar, ScalarLike, qbinomial
 
 DerivWord = Tuple[int, ...]
@@ -273,38 +274,6 @@ class LinOperator:
     def __repr__(self) -> str:
         return f"LinOperator({self})"
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        ctx = {
-            "vars": list(self.ctx.vars),
-            "theta": self.ctx.theta,
-            "q": str(self.ctx.q.q) if self.ctx.q else None,
-            "q_base": self.ctx.q.base if self.ctx.q else None,
-        }
-        names = self.ctx.all_vars
-        terms = []
-        for w, c in sorted(self.terms.items()):
-            terms.append({
-                "deriv": {v: k for v, k in zip(names, w) if k},
-                "coeff": c.to_json(),
-            })
-        return {"context": ctx, "terms": terms}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LinOperator":
-        c = data["context"]
-        q = QParam(Scalar.parse(c["q"]), c["q_base"]) if c["q"] else None
-        ctx = OpContext(c["vars"], q=q, theta=c["theta"])
-        terms = {}
-        for t in data["terms"]:
-            w = tuple(t["deriv"].get(v, 0) for v in ctx.all_vars)
-            terms[w] = Poly.from_json(t["coeff"], nil=ctx.nil)
-        return cls(ctx, terms)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def compose(a: LinOperator, b: LinOperator) -> LinOperator:
     """Canonical form of a o b (b acts first)."""
@@ -331,10 +300,6 @@ def compose(a: LinOperator, b: LinOperator) -> LinOperator:
 
 def commutator(a: LinOperator, b: LinOperator) -> LinOperator:
     return compose(a, b) - compose(b, a)
-
-
-def anticommutator(a: LinOperator, b: LinOperator) -> LinOperator:
-    return compose(a, b) + compose(b, a)
 
 
 class MatrixOperator:
@@ -398,6 +363,14 @@ class MatrixOperator:
                 f" [{e[1][0]}, {e[1][1]}]])")
 
 
+def even_odd(c: Poly) -> Tuple[Poly, Poly]:
+    """The theta-free even part of a coefficient over (x..., theta), and its
+    odd part, the coefficient of theta."""
+    rest = tuple(v for v in c.vars if v != THETA)
+    return (c.coefficient_of(THETA, 0).restrict_vars(rest),
+            c.coefficient_of(THETA, 1).restrict_vars(rest))
+
+
 def to_matrix_operator(op: LinOperator) -> MatrixOperator:
     """Replace the anticommuting pair by raising/lowering matrices.
 
@@ -411,8 +384,7 @@ def to_matrix_operator(op: LinOperator) -> MatrixOperator:
     z = LinOperator.zero(ctx)
     blocks = [[z, z], [z, z]]
     for w, c in op.terms.items():
-        split = SuperPoly.from_poly(c)
-        c0, c1 = split.even, split.odd
+        c0, c1 = even_odd(c)
         xword = w[:-1]
         e = w[-1]
         base = LinOperator(ctx, {xword: ctx.const(1)})

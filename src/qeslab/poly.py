@@ -4,15 +4,12 @@ A Poly maps exponent tuples (one entry per declared variable) to nonzero
 Scalar coefficients.  Variables listed in ``nil`` square to zero: products
 that would raise their exponent past 1 are dropped.  That is how the single
 anticommuting variable is carried -- it commutes with everything here, and the
-sign bookkeeping of its derivative lives in the operator layer.
-
-SuperPoly is the even/odd view of a polynomial in (x..., theta): ``even`` and
-``odd`` are the theta-free parts, with ``odd`` the coefficient of theta.
+sign bookkeeping of its derivative lives in the operator layer, and so does
+the even/odd split of a polynomial in that variable.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .scalars import ONE, Scalar, ScalarLike, ZERO
@@ -201,18 +198,6 @@ class Poly:
             out[tuple(e[i] for i in idx)] = c
         return Poly(keep, out, self.nil & frozenset(keep))
 
-    def extend_vars(self, vars: Iterable[str], nil=None) -> "Poly":
-        """Re-embed into a larger variable list (superset, any order)."""
-        vars = tuple(vars)
-        pos = [vars.index(v) for v in self.vars]
-        out: Dict[Exponent, Scalar] = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(vars)
-            for p, k in zip(pos, e):
-                e2[p] = k
-            out[tuple(e2)] = c
-        return Poly(vars, out, self.nil if nil is None else nil)
-
     def evaluate_float(self, point: Mapping[str, float]) -> complex:
         out = 0j
         for e, c in self.terms.items():
@@ -222,24 +207,6 @@ class Poly:
                     v *= point[self.vars[i]] ** k
             out += v
         return out
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "terms": {",".join(map(str, e)): str(c)
-                      for e, c in sorted(self.terms.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, nil=frozenset()) -> "Poly":
-        terms = {tuple(int(t) for t in key.split(",")) if key else ():
-                 Scalar.parse(val) for key, val in data["terms"].items()}
-        return cls(data["vars"], terms, nil)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -262,45 +229,3 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
-
-class SuperPoly:
-    """Even/odd split of a polynomial in one anticommuting variable."""
-
-    __slots__ = ("even", "odd")
-
-    def __init__(self, even: Poly, odd: Poly):
-        if even.vars != odd.vars:
-            raise VariableMismatchError("even and odd parts disagree on variables")
-        self.even = even
-        self.odd = odd
-
-    @classmethod
-    def from_poly(cls, p: Poly, theta: str = "theta") -> "SuperPoly":
-        rest = tuple(v for v in p.vars if v != theta)
-        even = p.coefficient_of(theta, 0).restrict_vars(rest)
-        odd = p.coefficient_of(theta, 1).restrict_vars(rest)
-        return cls(even, odd)
-
-    def to_poly(self, theta: str = "theta") -> Poly:
-        vars = self.even.vars + (theta,)
-        out = self.even.extend_vars(vars, nil=frozenset({theta}))
-        th = Poly.var(vars, theta, nil=frozenset({theta}))
-        return out + th * self.odd.extend_vars(vars, nil=frozenset({theta}))
-
-    def __add__(self, other: "SuperPoly") -> "SuperPoly":
-        return SuperPoly(self.even + other.even, self.odd + other.odd)
-
-    def __mul__(self, other: "SuperPoly") -> "SuperPoly":
-        # odd*odd vanishes: theta^2 = 0
-        return SuperPoly(self.even * other.even,
-                         self.even * other.odd + self.odd * other.even)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SuperPoly) and self.even == other.even
-                and self.odd == other.odd)
-
-    def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
-
-    def __repr__(self) -> str:
-        return f"SuperPoly(even={self.even}, odd={self.odd})"

@@ -192,13 +192,6 @@ def qnumber(k: int, q: QParam) -> Scalar:
     return -(b ** k) * qnumber(-k, q)
 
 
-def qfactorial(k: int, q: QParam) -> Scalar:
-    out = ONE
-    for j in range(2, k + 1):
-        out = out * qnumber(j, q)
-    return out
-
-
 def qbinomial(n: int, k: int, q: QParam) -> Scalar:
     """The Gaussian binomial [n k] at base b, the classical binomial at b = 1.
 

@@ -231,7 +231,6 @@ class SchrodingerReduction:
     p4: Poly
     p3: Poly
     p2: Poly
-    eps_shift: float = 0.0
 
     @property
     def spacing(self) -> float:
@@ -297,18 +296,21 @@ def _solve_x(rate: Callable[[float], float], xp: float, zp: float, z: float,
 
 def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
                           domain: Tuple[float, float],
-                          zgrid: Sequence[float] | None = None,
-                          spacing: float = 1e-3) -> SchrodingerReduction:
+                          zgrid: Sequence[float]) -> SchrodingerReduction:
     """Change of variable z = int dx/sqrt(P4) plus gauge, sampled on a z-grid.
 
-    P4 must be positive on the domain interior, and every z node must lie in
-    the domain's image [z(lo), z(hi)].  x(z) is closed form for the c*x
-    quartic-family case; otherwise the nodes are solved in z order outward
-    from the domain midpoint (z = 0), each by Newton steps from the node
-    before it.  The gauge integral is a prefix sum of panel integrals over
-    the gaps between sorted nodes, outward from the middle node.  After
-    one sort of the nodes the work is linear in their number.
+    P4 must be positive on the domain interior, and the z grid must be
+    nonempty, with every node in the domain's image [z(lo), z(hi)].  x(z) is
+    closed form for the c*x quartic-family case; otherwise the nodes are
+    solved in z order outward from the domain midpoint (z = 0), each by
+    Newton steps from the node before it.  The gauge integral is a prefix
+    sum of panel integrals over the gaps between sorted nodes, outward from
+    the middle node.  After one sort of the nodes the work is linear in their
+    number.
     """
+    zgrid = list(zgrid)
+    if not zgrid:
+        raise ValueError("the z grid is empty")
     f4, f3, f2 = _poly_fn(p4), _poly_fn(p3), _poly_fn(p2)
     lo, hi = domain
     probes = [lo + (hi - lo) * t / 400.0 for t in range(1, 400)]
@@ -320,20 +322,12 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
               and abs(lo) < 1e-12)
     if linear:
         c = float(p4.coefficient_of(p4.vars[0], 1).constant_value().re)
-        z_of_x = lambda x: 2.0 * math.sqrt(x / c)
-        zrange = (0.0, z_of_x(hi))
+        zrange = (0.0, 2.0 * math.sqrt(hi / c))
     else:
         x0 = 0.5 * (lo + hi)
         rate = lambda t: 1.0 / math.sqrt(f4(t))
-        z_of_x = lambda x: panel_integral(rate, x0, x)
-        zrange = (z_of_x(lo), z_of_x(hi))
+        zrange = (panel_integral(rate, x0, lo), panel_integral(rate, x0, hi))
 
-    if zgrid is None:
-        zl = z_of_x(max(lo, (hi - lo) * 1e-6) if linear else lo + (hi - lo) * 1e-3)
-        zh = z_of_x(hi - (hi - lo) * 1e-3)
-        count = max(5, int((zh - zl) / spacing))
-        zgrid = [zl + i * (zh - zl) / count for i in range(count + 1)]
-    zgrid = list(zgrid)
     for z in zgrid:
         if not zrange[0] <= z <= zrange[1]:
             raise ValueError(f"z node {z!r} lies outside the domain's image "

@@ -28,7 +28,7 @@ from qeslab.spaces import SpaceSpec, action_matrix, dimension, flag_preserves
 from qeslab.spectral import (build_matrix_example, build_sextic, eigenlaw_check,
                              matrix_example_residuals, schrodinger_residual,
                              sextic_potential, sextic_reduction, spectrum)
-from qeslab.identities import heisenberg_embed_check, verify_A7, verify_identity
+from qeslab.identities import verify_A7, verify_identity
 
 S = Scalar
 SEED = 20240901
@@ -271,8 +271,8 @@ def test_criterion_09_identities():
         for n in range(4):
             check(verify_identity("A12", n=n, q=q))
             check(verify_identity("A14", n=n, q=q))
-    check(heisenberg_embed_check("A3", Fraction(5, 2)))
-    check(heisenberg_embed_check("A10", 3, 2))
+    check(verify_identity("A3", n=Fraction(5, 2)))
+    check(verify_identity("A10", n=3, q=2))
     elapsed = time.time() - t0
     announce(9, not bad and elapsed < 120,
              f"identity catalogue exact at the stated budgets, "

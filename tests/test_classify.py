@@ -221,6 +221,9 @@ def test_odd_row_overflow_is_not_certified():
         assert [c["trial"] for c in rep["counterexamples"]] == list(range(6)), n
         assert {c["witness"] for c in rep["counterexamples"]} == {"odd-row overflow"}, n
         assert verify_case(rule, spec, params, trials=6, seed=3)["certified"] is True, n
+        # the target is described by its instantiated odd-row mark M = n - 1
+        assert [d for d, t in conclusion_spaces(rule, spec, params)
+                if not isinstance(t, SpaceSpec)] == [f"unbounded-even spinor rows M={n - 1}"], n
 
 
 def test_unbounded_even_rows_bound():

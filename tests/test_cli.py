@@ -231,6 +231,22 @@ def test_cases_report_digest_pinned(argv, tmp_path, monkeypatch):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CASES_DIGESTS[argv]
 
 
+# the sextic reduction report, pinned the same way before the default z grid
+# and the spacing parameter left reduce_to_schrodinger
+REDUCE_DIGESTS = {
+    ("reduce", "--sextic", "n=2,k=0,a=1,b=1"):
+        "5d2ad547c317a3a720c441030c97936bfcc218d4f58492a4d393b93a2c25cd31",
+}
+
+
+@pytest.mark.parametrize("argv", list(REDUCE_DIGESTS), ids=lambda argv: argv[0])
+def test_reduce_report_digest_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    path = tmp_path / "report.json"
+    assert run_command(list(argv) + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REDUCE_DIGESTS[argv]
+
+
 def test_spectrum_command(capsys):
     code, rep = run_json(capsys, [
         "spectrum", "--algebra", "sl2", "--n", "1",

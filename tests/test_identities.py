@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +8,7 @@ import pytest
 from qeslab.freealg import (TWO_PAIR, RewriteBudgetError, expr, expr_mul,
                             expr_pow, heisenberg_system, normal_order,
                             q_heisenberg_system, quantum_plane_system)
-from qeslab.identities import (heisenberg_embed_check, verify_A7,
-                               verify_identity)
+from qeslab.identities import verify_A7, verify_identity
 from qeslab.scalars import QParam, Scalar, qbinomial
 
 
@@ -55,10 +56,10 @@ def test_a2_abstract():
 
 
 def test_a3_embedding_sampled_marks():
-    rep = heisenberg_embed_check("A3", Fraction(5, 2))
+    rep = verify_identity("A3", n=Fraction(5, 2))
     assert rep["ok"]
     for n in (0, 1):
-        assert heisenberg_embed_check("A3", n)["ok"]
+        assert verify_identity("A3", n=n)["ok"]
 
 
 def test_a4_real_and_anticommuting():
@@ -81,12 +82,22 @@ def test_a6_abstract_multinomial():
             assert verify_identity("A6", n=n, k=k)["ok"]
 
 
+# sha256 of the JSON list of remainder_terms over r = 1..4, n = 0..4, taken
+# before the main sum moved onto the shared raising-power closed form
+A7_REMAINDER_DIGEST = \
+    "be5769bd619d4043ec7a9d3b042ea30e76d2f331d3dce4f35e8e3a1c3b6146dc"
+
+
 def test_a7_rows_and_remainder():
+    terms = []
     for r in (1, 2, 3, 4):
         for n in range(5):
             rep = verify_A7(r, n)
             assert rep["ok"], (r, n)
+            terms.append(rep["remainder_terms"])
     assert verify_A7(1, 3)["remainder_terms"] == []
+    digest = hashlib.sha256(json.dumps(terms).encode()).hexdigest()
+    assert digest == A7_REMAINDER_DIGEST
 
 
 A7_REGRESSION_FINGERPRINTS = {
@@ -118,7 +129,7 @@ def test_a8_classical_limit():
 
 def test_a10_embedding():
     for q in (2, Fraction(3, 2), 3):
-        assert heisenberg_embed_check("A10", 2, q)["ok"]
+        assert verify_identity("A10", n=2, q=q)["ok"]
 
 
 @pytest.mark.parametrize("q", [2, Fraction(3, 2)])

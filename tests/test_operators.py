@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qeslab.operators import (ContextMismatchError, LinOperator, MatrixOperator,
-                              OpContext, anticommutator, commutator, compose,
+                              OpContext, commutator, compose, even_odd,
                               to_matrix_operator)
-from qeslab.poly import Poly, SuperPoly
+from qeslab.poly import Poly
 from qeslab.reps import RepSpec, make_rep
 from qeslab.scalars import QParam, Scalar
 
@@ -49,7 +49,7 @@ def test_commutator_examples():
     assert commutator(g.op("J0"), g.op("J+")) == g.op("J+")
     assert commutator(g.op("J+"), g.op("J-")) == g.op("J0").scale(-2)
     o = make_rep(RepSpec("osp22", n=Scalar(3)))
-    assert anticommutator(o.op("Q1"), o.op("Q1")).is_zero()
+    assert compose(o.op("Q1"), o.op("Q1")).is_zero()         # {Q1, Q1} = 0
 
 
 def _rand_op(rng, ctx, deg=3, order=2):
@@ -168,12 +168,9 @@ def test_sigma_mapping():
     assert lhs == rhs
 
 
-def test_serialization_bit_exact():
-    rng = random.Random(2)
-    for ctx in (CTX, OpContext(["x"], theta=True),
-                OpContext(["x"], q=QParam(Fraction(3, 2)))):
-        op = _rand_op(rng, ctx)
-        data = op.dumps()
-        back = LinOperator.from_json(__import__("json").loads(data))
-        assert back == op
-        assert back.dumps() == data
+def test_even_odd_split():
+    ctx = OpContext(["x"], theta=True)
+    even = Poly(("x",), {(0,): 2, (3,): Fraction(1, 3)})
+    odd = Poly(("x",), {(1,): -1})
+    c = ctx.poly({(0, 0): 2, (3, 0): Fraction(1, 3), (1, 1): -1})
+    assert even_odd(c) == (even, odd)

@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from qeslab.poly import Poly, SuperPoly, VariableMismatchError
+from qeslab.poly import Poly, VariableMismatchError
 from qeslab.scalars import Scalar
 
 
@@ -54,13 +52,6 @@ def test_nilpotent_variable():
     assert not (th * x).is_zero()
 
 
-def test_serialization_round_trip():
-    p = Poly(("x", "y"), {(2, 1): Fraction(3, 7), (0, 0): -2})
-    q = Poly.from_json(p.to_json())
-    assert q == p
-    assert q.dumps() == p.dumps()
-
-
 polys = st.builds(
     lambda d: Poly(("x",), {(k,): v for k, v in d.items()}),
     st.dictionaries(st.integers(0, 5), st.fractions(max_denominator=9),
@@ -73,12 +64,3 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
 
-
-@given(polys, polys)
-def test_superpoly_odd_square_vanishes(e, o):
-    s = SuperPoly(e, o)
-    odd_only = SuperPoly(Poly.zero(("x",)), o)
-    prod = odd_only * odd_only
-    assert prod.is_zero()
-    # even/odd split survives the round trip through one nilpotent variable
-    assert SuperPoly.from_poly(s.to_poly()) == s

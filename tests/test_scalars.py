@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qeslab.scalars import (DegenerateQError, QParam, Scalar, nhat, qbinomial,
-                            qfactorial, qnumber)
+from qeslab.scalars import DegenerateQError, QParam, Scalar, nhat, qbinomial, qnumber
 
 
 def test_basic_arithmetic():
@@ -52,7 +51,6 @@ def test_qbinomial():
     assert qbinomial(3, 1, QParam(1)) == Scalar(3)
     assert qbinomial(2, 1, QParam(2, base="squared")) == Scalar(5)   # 1 + q^2
     assert qbinomial(6, 0, QParam(Fraction(5, 7))) == Scalar(1)
-    assert qfactorial(3, QParam(1)) == Scalar(6)
 
 
 def test_appendix_base_convention():

@@ -22,6 +22,7 @@ from qeslab.spectral import (GAUSS_LEGENDRE_8, NonSquareError, adaptive_simpson,
 
 S = Scalar
 ZGRID = [0.1 + i * 1e-3 for i in range(2901)]       # z in [0.1, 3]
+ZS_CENTRED = [-1.9 + i * 1e-2 for i in range(381)]  # z in [-1.9, 1.9]
 
 
 def test_spectrum_diagonal():
@@ -214,7 +215,7 @@ def test_reduce_trivial_identity_change():
     one = Poly(("x",), {(0,): 1})
     zero = Poly(("x",), {})
     x2 = Poly(("x",), {(2,): 1})
-    red = reduce_to_schrodinger(one, zero, x2, (-2.0, 2.0))
+    red = reduce_to_schrodinger(one, zero, x2, (-2.0, 2.0), zgrid=ZS_CENTRED)
     for z, x, v in zip(red.zgrid, red.x_of_z, red.potential):
         assert abs(z - x) < 1e-9
         assert abs(v - x * x) < 1e-9
@@ -224,7 +225,7 @@ def test_reduce_closed_form_gauge():
     one = Poly(("x",), {(0,): 1})
     twox = Poly(("x",), {(1,): 2})
     zero = Poly(("x",), {})
-    red = reduce_to_schrodinger(one, twox, zero, (-2.0, 2.0))
+    red = reduce_to_schrodinger(one, twox, zero, (-2.0, 2.0), zgrid=ZS_CENTRED)
     for x, v in zip(red.x_of_z, red.potential):
         assert abs(v - (x * x - 1)) < 1e-9        # A = x^2/2
 
@@ -233,7 +234,17 @@ def test_reduce_rejects_sign_change():
     x = Poly(("x",), {(1,): 1})
     zero = Poly(("x",), {})
     with pytest.raises(ValueError):
-        reduce_to_schrodinger(x, zero, zero, (-1.0, 1.0))
+        reduce_to_schrodinger(x, zero, zero, (-1.0, 1.0), zgrid=[0.0])
+
+
+@pytest.mark.parametrize("p4,domain", [
+    (Poly(("x",), {(1,): 4}), (0.0, 4.0)),                  # P4 = c*x
+    (Poly(("x",), {(0,): 1, (2,): 1}), (-2.0, 2.0)),        # curved
+])
+def test_reduce_rejects_an_empty_grid(p4, domain):
+    zero = Poly(("x",), {})
+    with pytest.raises(ValueError, match="the z grid is empty"):
+        reduce_to_schrodinger(p4, zero, zero, domain, zgrid=[])
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (2, 1), (3, 0)])
