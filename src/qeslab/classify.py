@@ -20,7 +20,8 @@ members, and for an unbounded-even spinor conclusion only the two rows
 spin(N, M) -> spin(N+2, M) that target_escapes reads, not every N.  Only an
 uncertified rule draws its seeded trials, which supply the counterexample
 witnesses.  target_escapes is the one escape check: the certificate, the
-trials and the classify command all go through it.
+trials and the classify command all go through it, with elements that act by
+generator walks (enveloping.ElementAction), so the oracle expands no operator.
 
 The J-sign note from the enveloping module applies here too: the catalogue's
 coefficients multiply products of generators in the printed order, with the
@@ -37,7 +38,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .enveloping import body_signed, expand, flatten_ops, grading, word_is_exact
+from .enveloping import (ElementAction, body_signed, expand, flatten_ops, grading,
+                         word_is_exact)
 from .freealg import FreeExpr, Word
 from .linalg import nullspace, rank
 from .operators import LinOperator
@@ -132,8 +134,11 @@ class CoeffAssignment:
         return self.values.get(name, ZERO)
 
     def operator(self, gens: GeneratorSet | None = None) -> LinOperator:
-        gens = gens or make_rep(self.spec)
-        return expand(body_signed(self.spec.algebra, self.env_words()), gens)
+        return expand(self.element(), gens or make_rep(self.spec))
+
+    def element(self) -> FreeExpr:
+        """env_words in the stored sign convention of the generators."""
+        return body_signed(self.spec.algebra, self.env_words())
 
     def env_words(self) -> FreeExpr:
         """The assignment as an enveloping-algebra element, in the body
@@ -530,8 +535,8 @@ def _even_rows(con: dict, spec: RepSpec,
     return [(SpaceSpec("spinor", (N, M)), N + 2) for N in (top + 3, top + 5)]
 
 
-def target_escapes(op: LinOperator, targets: Sequence[Tuple[str, object]], spec: RepSpec,
-                   params: Dict[str, object]) -> Iterator[Tuple[str, str]]:
+def target_escapes(op: LinOperator | ElementAction, targets: Sequence[Tuple[str, object]],
+                   spec: RepSpec, params: Dict[str, object]) -> Iterator[Tuple[str, str]]:
     """(description, witness) for each target op does not preserve, in target
     order, from one flag_actions call over every concluded space.  A space's
     witness is its first escape.  An unbounded-even conclusion holds when the
@@ -553,10 +558,8 @@ def target_escapes(op: LinOperator, targets: Sequence[Tuple[str, object]], spec:
             yield desc, "odd-row overflow"
 
 
-def _basis_operators(spec: RepSpec, names: Sequence[str], basis: List[List[Scalar]],
-                     gens: GeneratorSet) -> Iterator[LinOperator]:
-    """The operator of each predicate basis vector, expanded on demand."""
-    return (CoeffAssignment(spec, dict(zip(names, v))).operator(gens) for v in basis)
+# the oracle's generators per spec, so that its jobs at a spec share one step memo
+_generators = lru_cache(maxsize=128)(make_rep)
 
 
 def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
@@ -567,21 +570,22 @@ def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
     seeded trial assignments from the basis and reports, for each trial, the
     witness of every concluded space its operator escapes.  Either way a
     requires_nonzero coefficient that vanishes on the whole basis raises."""
-    gens = make_rep(spec)
+    gens = _generators(spec)
     targets = conclusion_spaces(rule, spec, params)
     names, basis = _predicate_basis(rule, spec, params)
     if any(all(v[names.index(nm)].is_zero() for v in basis) for nm in rule.requires_nonzero):
         raise RuntimeError(f"could not sample a nondegenerate assignment for {rule.id}")
-    certified = all(next(target_escapes(op, targets, spec, params), None) is None
-                    for op in _basis_operators(spec, names, basis, gens))
+    elements = (CoeffAssignment(spec, dict(zip(names, v))).element() for v in basis)
+    certified = all(next(target_escapes(ElementAction(gens, e), targets, spec, params), None)
+                    is None for e in elements)
     counterexamples = []
     for t in range(0 if certified else trials):
         rng = random.Random((seed, rule.id, str(params), t).__str__())
         asg = _draw(rule, spec, names, basis, rng)
         counterexamples += [{"trial": t, "space": desc, "witness": witness,
                              "assignment": asg.to_json()}
-                            for desc, witness in target_escapes(asg.operator(gens), targets,
-                                                                spec, params)]
+                            for desc, witness in target_escapes(
+                                ElementAction(gens, asg.element()), targets, spec, params)]
     return {"rule": rule.id, "algebra": spec.algebra,
             "params": {k: str(Scalar.of(v)) for k, v in params.items()},
             "trials": trials, "targets": [d for d, _ in targets],
@@ -594,7 +598,9 @@ def constrained_param_count(rule: CaseRule, spec: RepSpec,
                             params: Dict[str, object]) -> int:
     """Exact dimension of the operator family cut out by a rule's predicate."""
     names, basis = _predicate_basis(rule, spec, params)
-    r = rank(flatten_ops(list(_basis_operators(spec, names, basis, make_rep(spec)))))
+    gens = make_rep(spec)
+    r = rank(flatten_ops([CoeffAssignment(spec, dict(zip(names, v))).operator(gens)
+                          for v in basis]))
     if spec.algebra == "sl2q":
         r += 1
     return r

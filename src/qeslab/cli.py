@@ -25,7 +25,7 @@ from .classify import (CoeffAssignment, case_jobs, classify_grading,
                        conclusion_spaces, constrained_param_count, find_rule,
                        match_cases, target_escapes, verify_case)
 from .dsl import EvalContext, ParseError, evaluate, operator_to_dsl, parse_operator, print_ast
-from .enveloping import (burnside_span_rank, grading, make_word, param_count,
+from .enveloping import (ElementAction, burnside_span_rank, grading, make_word, param_count,
                          coefficient_shape_check, verify_relations,
                          word_is_exact, words_up_to_degree, expand_word)
 from .identities import IDENTITY_IDS, verify_identity
@@ -205,8 +205,7 @@ def cmd_classify(args) -> int:
     asg = _load_coeffs(args, spec)
     report = classify_grading(asg)
     matches = match_cases(asg, bound=args.bound)
-    gens = make_rep(spec)
-    op = asg.operator(gens)
+    op = ElementAction(make_rep(spec), asg.element())
     confirmed = []
     for m in matches:
         rule = find_rule(spec, m["id"])

@@ -2,7 +2,8 @@
 
 A word is a tuple of generator names in product order, and an element of the
 enveloping algebra is a ``freealg.FreeExpr`` mapping words to scalars; it
-expands to a canonical operator through ``GeneratorSet.word_op``.  Canonical
+expands to a canonical operator through ``GeneratorSet.word_op``, or acts on
+monomials by generator walks as an ``ElementAction``.  Canonical
 words list their names in the family's fixed global order (raising, Cartan,
 lowering, odd generators at most once).  The module also carries the
 quadratic relation tables of each representation (``reps.Relation``s at a
@@ -31,6 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 from .freealg import FreeExpr, Word
 from .linalg import nullspace, rank
 from .operators import LinOperator, MatrixOperator, even_odd, to_matrix_operator
+from .poly import Exponent
 from .reps import (GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep,
                    sl2q_constants)
 from .scalars import ONE, Scalar, ZERO
@@ -63,6 +65,30 @@ def expand(p: FreeExpr, gens: GeneratorSet) -> LinOperator:
     for word, c in p.items():
         out = out + gens.word_op(word).scale(c)
     return out
+
+
+class ElementAction:
+    """An enveloping-algebra element, in the stored sign convention, acting
+    by generator walks: each generator of the case families steps a monomial
+    to one weighted monomial, so a word walks it, its last generator first."""
+
+    def __init__(self, gens: GeneratorSet, element: FreeExpr):
+        self.gens, self.element, self.ctx = gens, element, gens.ctx
+
+    def apply_monomial(self, e: Exponent) -> Dict[Exponent, Scalar]:
+        """The image of the monomial with exponent e, as its term dict."""
+        out: Dict[Exponent, Scalar] = {}
+        for word, c in self.element.items():
+            end = e
+            for name in reversed(word):
+                step = self.gens.step(name, end)
+                if step is None:
+                    break
+                end, weight = step
+                c = c * weight
+            else:
+                out[end] = out[end] + c if end in out else c
+        return {end: c for end, c in out.items() if not c.is_zero()}
 
 
 def expand_matrix(p: FreeExpr, gens: GeneratorSet) -> MatrixOperator:

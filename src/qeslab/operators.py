@@ -36,7 +36,7 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .poly import Poly
+from .poly import Exponent, Poly
 from .scalars import QParam, Scalar, ScalarLike, qbinomial
 
 DerivWord = Tuple[int, ...]
@@ -229,6 +229,10 @@ class LinOperator:
             if not g.is_zero():
                 out = out + c * g
         return out
+
+    def apply_monomial(self, e: Exponent) -> Dict[Exponent, Scalar]:
+        """The image of the monomial with exponent e, as its term dict."""
+        return self.apply_poly(Poly.monomial(self.ctx.all_vars, e, 1, self.ctx.nil)).terms
 
     # -- composition ------------------------------------------------------------
 

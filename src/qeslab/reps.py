@@ -22,12 +22,18 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .freealg import FreeExpr, Word, expr
 from .operators import (ContextMismatchError, LinOperator, MatrixOperator,
                         OpContext, compose, to_matrix_operator)
+from .poly import Exponent
 from .scalars import ONE, ZERO, QParam, Scalar, ScalarLike, DegenerateQError, qnumber
 
 ALGEBRAS = ("sl2", "sl2q", "osp22", "sl3", "sl2xsl2", "gl2_semi",
             "so3_nonflat", "so_k1", "sl3_flag")
 
 GradVec = Tuple[Fraction, Fraction]
+Step = Tuple[Exponent, Scalar]
+
+
+class MultiTermStepError(ValueError):
+    """A generator maps a monomial to two or more terms: it takes no step."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,8 @@ class GeneratorSet:
     notes: List[str] = field(default_factory=list)
     _words: Dict[Tuple[str, ...], LinOperator] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _steps: Dict[Tuple[str, Exponent], Step | None] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def op(self, name: str) -> LinOperator:
         return self.ops[name]
@@ -117,6 +125,18 @@ class GeneratorSet:
                    else LinOperator.identity(self.ctx))
             self._words[key] = out
         return out
+
+    def step(self, name: str, exponent: Exponent) -> Step | None:
+        """The generator's image of one monomial as (exponent', weight), or
+        None when it vanishes: its own apply_monomial, memoised per set."""
+        key = (name, exponent)
+        if key not in self._steps:
+            image = self.ops[name].apply_monomial(exponent)
+            if len(image) > 1:
+                raise MultiTermStepError(
+                    f"{name} maps the monomial {exponent} to {len(image)} terms")
+            self._steps[key] = next(iter(image.items()), None)
+        return self._steps[key]
 
 
 def _evaluate_relation(rel: Relation, word: Callable[[Word], object]):

@@ -3,8 +3,9 @@
 A SpaceSpec names a lattice region (interval, spinor pair, triangle,
 rectangle, wedge, simplex); its basis is enumerated in graded order with the
 even sector first, and the closed-form dimension is cross-checked against the
-enumeration at construction time.  action_matrix applies an operator to each
-basis monomial: either every image stays inside and an exact matrix comes
+enumeration at construction time.  action_matrix takes the image of each
+basis monomial (apply_monomial, of a LinOperator or of an element acting by
+generator walks): either every image stays inside and an exact matrix comes
 back, or the offending monomials are returned with their out-of-space parts.
 This is the one action path: a superalgebra operator acts on a spinor pair
 through its odd variable (the odd row is the theta sector), which is the
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .operators import LinOperator, OpContext
-from .poly import Poly
+from .poly import Exponent, Poly
 from .scalars import Scalar, ZERO
 
 # basis label: exponent tuple over the space variables, plus the odd flag
@@ -138,20 +139,21 @@ def _wedge_alpha(r: int, n: int) -> int | None:
     return None
 
 
+def _exponent(s: SpaceSpec, label: Label, ctx: OpContext) -> Exponent:
+    """A basis label's exponent tuple over the operator context."""
+    exp, odd = label
+    if odd and not ctx.theta:
+        raise ValueError("odd basis element in an even-only context")
+    e = [0] * len(ctx.all_vars)
+    for v, k in zip(s.vars + ("theta",) * odd, exp + (odd,)):
+        e[ctx.all_vars.index(v)] = k
+    return tuple(e)
+
+
 def enumerate_basis(s: SpaceSpec, ctx: OpContext) -> List[Poly]:
     """Basis monomials as polynomials over the operator context."""
-    names = ctx.all_vars
-    out = []
-    for exp, odd in s.labels():
-        e = [0] * len(names)
-        for v, k in zip(s.vars, exp):
-            e[names.index(v)] = k
-        if odd:
-            if not ctx.theta:
-                raise ValueError("odd basis element in an even-only context")
-            e[names.index("theta")] = 1
-        out.append(Poly.monomial(names, tuple(e), 1, ctx.nil))
-    return out
+    return [Poly.monomial(ctx.all_vars, _exponent(s, lab, ctx), 1, ctx.nil)
+            for lab in s.labels()]
 
 
 @dataclass
@@ -173,47 +175,28 @@ class ActionResult:
         return self.matrix is not None
 
 
-def _decompose(image: Poly, s: SpaceSpec, ctx: OpContext,
-               index: Dict[Label, int]) -> Tuple[Dict[int, Scalar], List[Tuple[Tuple[int, ...], Scalar]]]:
-    names = ctx.all_vars
-    positions = [names.index(v) for v in s.vars]
-    theta_pos = names.index("theta") if ctx.theta else None
-    inside: Dict[int, Scalar] = {}
-    outside: List[Tuple[Tuple[int, ...], Scalar]] = []
-    for e, c in image.terms.items():
-        exp = tuple(e[p] for p in positions)
-        odd = e[theta_pos] if theta_pos is not None else 0
-        if sum(e) != sum(exp) + odd:
-            outside.append((e, c))        # image uses variables outside the space
-            continue
-        key = (exp, odd)
-        if key in index:
-            inside[index[key]] = c
-        else:
-            outside.append((e, c))
-    return inside, outside
-
-
 def action_matrix(op: LinOperator, s: SpaceSpec) -> ActionResult:
     return next(flag_actions(op, [s]))
 
 
-def flag_actions(op: LinOperator, flag: Sequence[SpaceSpec]) -> Iterator[ActionResult]:
-    """action_matrix(op, s) for each s in flag; op is applied once to each
-    basis monomial, however many members share it."""
+def flag_actions(op, flag: Sequence[SpaceSpec]) -> Iterator[ActionResult]:
+    """action_matrix(op, s) for each s in flag.  op is a LinOperator or an
+    enveloping.ElementAction, and its apply_monomial runs once per basis
+    monomial, however many members share it.  An image term whose exponent is
+    no basis label's escapes; escapes keep the image's term order."""
     ctx = op.ctx
-    images: Dict[Tuple[Tuple[str, ...], Label], Poly] = {}
+    images: Dict[Exponent, Dict[Exponent, Scalar]] = {}
     for s in flag:
         labels = s.labels()
-        index = {lab: i for i, lab in enumerate(labels)}
+        exps = [_exponent(s, lab, ctx) for lab in labels]
+        index = {e: i for i, e in enumerate(exps)}
         cols: List[Dict[int, Scalar]] = []
         escapes: List[Escape] = []
-        for lab, mono in zip(labels, enumerate_basis(s, ctx)):
-            if (s.vars, lab) not in images:
-                images[(s.vars, lab)] = op.apply_poly(mono)
-            inside, outside = _decompose(images[(s.vars, lab)], s, ctx, index)
-            cols.append(inside)
-            escapes.extend(Escape(lab, e, c) for e, c in outside)
+        for lab, e in zip(labels, exps):
+            if e not in images:
+                images[e] = op.apply_monomial(e)
+            cols.append({index[t]: c for t, c in images[e].items() if t in index})
+            escapes.extend(Escape(lab, t, c) for t, c in images[e].items() if t not in index)
         dim = len(labels)
         matrix = None if escapes else [[cols[j].get(i, ZERO) for j in range(dim)] for i in range(dim)]
         yield ActionResult(s, labels, matrix, escapes)

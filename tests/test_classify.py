@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from qeslab.classify import (CASE_FAMILIES, CaseRule, CoeffAssignment, _param_en
 from qeslab.enveloping import flatten_ops, words_up_to_degree
 from qeslab.linalg import rref
 from qeslab.operators import LinOperator, OpContext
-from qeslab.reps import RepSpec, make_rep
+from qeslab.reps import GeneratorSet, RepSpec, make_rep
 from qeslab.scalars import ONE, QParam, Scalar, ZERO
 from qeslab.spaces import SpaceSpec, action_matrix, flag_actions
 
@@ -265,6 +267,21 @@ def test_certified_rule_draws_nothing(monkeypatch):
     assert rep["certified"] is True and rep["ok"] and rep["trials"] == 25
 
 
+def test_oracle_expands_no_operator(monkeypatch):
+    # the certificate and the trials act by generator walks
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle expanded an operator")
+
+    monkeypatch.setattr(CoeffAssignment, "operator", refuse)
+    monkeypatch.setattr(GeneratorSet, "word_op", refuse)
+    spec = RepSpec("sl2", n=S(5))
+    rep = verify_case(find_rule(spec, "Lemma1.3"), spec, {"n": S(5), "m": 2})
+    assert rep["certified"] is True and rep["ok"]
+    spec = RepSpec("sl2", n=S(6))
+    rep = verify_case(CONTROL_RULE, spec, {"n": spec.n}, trials=25, seed=7)
+    assert rep["certified"] is False and len(rep["counterexamples"]) == 25
+
+
 def _reference_witnesses(rule, spec, params, trials, seed):
     """The sampled oracle alone: every trial's operator on every space."""
     gens = make_rep(spec)
@@ -295,6 +312,38 @@ def test_certificate_agrees_with_sampling():
         got = [(c["trial"], c["space"], c["witness"]) for c in rep["counterexamples"]]
         assert got == want, rule.id
         assert rep["ok"] == (not want) == rep["certified"], rule.id
+
+
+# sha256 of the JSON list of verify_case counterexamples (witness strings,
+# assignments and their order), taken before the oracle acted by generator
+# walks: a change of the image-term order shows here
+WITNESS_DIGESTS = {
+    ("control", 5, 1): "74ff0aa78a18991bd203cb4c7cd3a99541a96f150f09c75fb0252d0687d7a1b8",
+    ("control", 5, 2): "dc60c571987ff9ef74f082526779d293c5b45aeaa3c1ddb61bdeec328bce9038",
+    ("control", 5, 3): "301fc85af56ee07f2820d03ee466e3deb0b4e665a84b811e5feaef5e4687e533",
+    ("control", 6, 1): "5d2b75c3f52dc60f371fd61406a84e1a503a00e9cc797e59ab85a0e02d0f70ea",
+    ("control", 6, 2): "fd4ab509ce6a2576c91b3eebd91779145eb1affc441894dfed4a5afb66703662",
+    ("control", 6, 3): "8917d2af34d4924de6df00a1f1d9898dc07570d6169198230f688996a53a7c32",
+    ("control", 7, 1): "5788e26eae59e9bcad46dcd1205cf1c23075384a334db3831652206102b6e846",
+    ("control", 7, 2): "f6cc58e001581b105326852602b831f91d06a6404df312ffcc8bc18ca0e55ad2",
+    ("control", 7, 3): "e35731dbd0346e79cbd70c77f9487e756a43b6cbe332a160e801783ad5149216",
+    ("loose I.1.2b", 4, 3): "cb3f82f0fdb80ef0638b90a7d0b14f7da8ec7283d76215119cad02acd2b1e8fa",
+    ("loose I.1.2b", 5, 3): "f168e2f58fe7aa9927b0a382d8b7a7dd530ea9cf5af6e4fda3cf98af659a014c",
+    ("loose I.1.2b", 7, 3): "8230051a08d9b7822949e2312f450b8a0731d1b92d06c56a7b58feacc1dfd847",
+}
+
+
+def test_witnesses_pinned():
+    loose = dataclasses.replace(find_rule(RepSpec("osp22"), "I.1.2b"), requires_zero=[])
+    for (kind, n, seed), want in WITNESS_DIGESTS.items():
+        if kind == "control":
+            spec = RepSpec("sl2", n=S(n))
+            rep = verify_case(CONTROL_RULE, spec, {"n": spec.n}, trials=25, seed=seed)
+        else:
+            spec = RepSpec("osp22", n=S(n), m=S(2))
+            rep = verify_case(loose, spec, {"n": spec.n, "m": spec.m}, trials=6, seed=seed)
+        got = hashlib.sha256(json.dumps(rep["counterexamples"]).encode()).hexdigest()
+        assert got == want, (kind, n, seed)
 
 
 def test_constrained_counts():

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.enveloping import (burnside_span_rank, coefficient_shape_check,
+from itertools import product
+
+from qeslab.classify import CASE_FAMILIES
+from qeslab.enveloping import (ElementAction, burnside_span_rank, coefficient_shape_check,
                                expand, expand_matrix, expand_word, grading,
                                make_word, param_count, relation_table,
                                verify_relations, word_is_exact,
@@ -12,7 +15,7 @@ from qeslab.enveloping import (burnside_span_rank, coefficient_shape_check,
 from qeslab.operators import LinOperator, MatrixOperator, OpContext
 from qeslab.reps import RepSpec, _evaluate_relation, make_rep, to_matrix_rep
 from qeslab.scalars import ONE, QParam, Scalar
-from qeslab.spaces import SpaceSpec, action_matrix
+from qeslab.spaces import SpaceSpec, action_matrix, enumerate_basis, flag_actions
 
 
 def test_expand_examples():
@@ -247,3 +250,39 @@ def test_rank_handles_gaussian_entries():
     assert rank(rows) == 1
     rows = [[Scalar(1), i], [i, Scalar(1)]]
     assert rank(rows) == 2
+
+
+def _module_cover(spec: RepSpec) -> SpaceSpec:
+    """A space one degree past the family's module at the spec's marks."""
+    n, m = int(spec.n.re), int(spec.m.re)
+    return {"sl2": SpaceSpec("interval", (n + 1,)),
+            "sl2q": SpaceSpec("interval", (n + 1,)),
+            "osp22": SpaceSpec("spinor", (n + 1, n)),
+            "sl3": SpaceSpec("triangle", (n + 1,)),
+            "sl2xsl2": SpaceSpec("rectangle", (n + 1, m + 1)),
+            "gl2_semi": SpaceSpec("wedge", (spec.r, n + 1))}[spec.algebra]
+
+
+@pytest.mark.parametrize("family", CASE_FAMILIES, ids=lambda s: s.algebra)
+def test_walk_is_the_expanded_action(family):
+    # every word of degree <= 2, in every name order, at two marks: the walk
+    # image of each basis monomial is the expanded word's image, and a whole
+    # element gives flag_actions the same matrix and escapes either way
+    for n, m in ((4, 3), (7, 2)):
+        spec = replace(family, n=Scalar(n), m=Scalar(m))
+        gens = make_rep(spec)
+        space = _module_cover(spec)
+        monos = enumerate_basis(space, gens.ctx)
+        words = [w for k in range(3) for w in product(gens.names, repeat=k)]
+        for word in words:
+            walk = ElementAction(gens, {word: ONE})
+            op = gens.word_op(word)
+            for mono in monos:
+                (e,) = mono.terms
+                assert walk.apply_monomial(e) == op.apply_poly(mono).terms, (word, e)
+        element = {w: Scalar(Fraction(i % 7 - 3, 1 + i % 4)) for i, w in enumerate(words)}
+        walked, = flag_actions(ElementAction(gens, element), [space])
+        expanded = action_matrix(expand(element, gens), space)
+        assert walked.matrix == expanded.matrix
+        assert sorted(map(repr, walked.escapes)) == sorted(map(repr, expanded.escapes))
+        assert walked.escapes, spec.algebra      # the cover is not preserved

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qeslab.operators import LinOperator, commutator, compose
-from qeslab.reps import (ALGEBRAS, RepSpec, make_rep, root_of_unity_generators,
-                         to_matrix_rep, verify_structure)
+from qeslab.reps import (ALGEBRAS, MultiTermStepError, RepSpec, make_rep,
+                         root_of_unity_generators, to_matrix_rep, verify_structure)
 from qeslab.scalars import DegenerateQError, QParam, Scalar
 
 
@@ -159,3 +159,15 @@ def test_word_op_is_the_left_to_right_product(algebra):
         assert gens.word_op(word) == want, word
         assert gens.word_op(list(word)) == want, word
     assert gens.ops == make_rep(spec).ops
+
+
+def test_step_takes_one_term_and_refuses_two():
+    gens = make_rep(RepSpec("sl2", n=Scalar(4)))
+    assert gens.step("J+", (2,)) == ((3,), Scalar(-2))     # x^2 D - 4x on x^2
+    assert gens.step("J-", (0,)) is None
+    # J1 = (1 + y^2) d_y + x y d_x - n y maps y to 1 + (1 - n) y^2: no walk
+    gens = make_rep(RepSpec("so3_nonflat", n=Scalar(3)))
+    with pytest.raises(MultiTermStepError,
+                       match=r"^J1 maps the monomial \(0, 1\) to 2 terms$"):
+        gens.step("J1", (0, 1))
+    assert issubclass(MultiTermStepError, ValueError)
