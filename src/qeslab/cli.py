@@ -26,8 +26,8 @@ from .classify import (CoeffAssignment, case_jobs, classify_grading,
                        match_cases, target_escapes, verify_case)
 from .dsl import EvalContext, ParseError, evaluate, operator_to_dsl, parse_operator, print_ast
 from .enveloping import (ElementAction, burnside_span_rank, grading, make_word, param_count,
-                         coefficient_shape_check, verify_relations,
-                         word_is_exact, words_up_to_degree, expand_word)
+                         coefficient_shape_check, expand, verify_relations,
+                         word_is_exact, words_up_to_degree)
 from .identities import IDENTITY_IDS, verify_identity
 from .operators import LinOperator, commutator
 from .reps import ALGEBRAS, RepSpec, make_rep, verify_structure
@@ -463,11 +463,7 @@ def _suite_shapes(args, rng) -> dict:
             words = words_up_to_degree(gens, k)
             if variant == "exact":
                 words = [w for w in words if word_is_exact(w, gens)]
-            agg = LinOperator.zero(gens.ctx)
-            coeff = 1
-            for w in words:
-                agg = agg + expand_word(gens, w).scale(coeff)
-                coeff += 1
+            agg = expand({w: Scalar(i) for i, w in enumerate(words, 1)}, gens)
             res = coefficient_shape_check(agg, spec, k, variant)
             witness = coefficient_shape_check(
                 LinOperator.mult(gens.ctx, gens.ctx.var("x", 3))

@@ -502,7 +502,7 @@ def burnside_span_rank(n: int) -> int:
     s = SpaceSpec("interval", (n,))
     rows = []
     for w in words_up_to_degree(gens, n):
-        res = action_matrix(expand_word(gens, w), s)
+        res = action_matrix(ElementAction(gens, {w: ONE}), s)
         assert res.preserved
-        rows.append([res.matrix[i][j] for i in range(n + 1) for j in range(n + 1)])
+        rows.append([col.get(i, ZERO) for i in range(n + 1) for col in res.columns])
     return rank(rows)

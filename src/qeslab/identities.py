@@ -23,6 +23,7 @@ from .freealg import (FreeExpr, expr, expr_add, expr_mul, expr_pow,
 from .operators import LinOperator, OpContext
 from .reps import RepSpec, sl2q_constants
 from .scalars import DegenerateQError, QParam, Scalar, ScalarLike, ZERO, qbinomial, qnumber
+from .spaces import SpaceSpec, action_matrix
 
 
 def _raising(ctx: OpContext, names: Sequence[str], weights: Sequence[ScalarLike],
@@ -139,11 +140,8 @@ def verify_A5(k: int, n: int) -> dict:
     ctx = OpContext(vars)
     lhs = _raising(ctx, vars, [1] * k, n) ** (n + 1)
     ok = lhs == _raising_power(ctx, vars, [1] * k, n)
-    # annihilation of the simplex
-    from .spaces import SpaceSpec, enumerate_basis
-    s = SpaceSpec("simplex", (k, n))
-    kills = all(lhs.apply_poly(mono).is_zero()
-                for mono in enumerate_basis(s, ctx))
+    res = action_matrix(lhs, SpaceSpec("simplex", (k, n)))
+    kills = res.preserved and not any(res.columns)
     return {"id": "A5", "k": k, "n": n, "ok": ok and kills,
             "annihilates_simplex": kills}
 

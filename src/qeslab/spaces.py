@@ -1,12 +1,12 @@
-"""Finite-dimensional polynomial spaces and exact action matrices.
+"""Finite-dimensional polynomial spaces and exact actions on them.
 
 A SpaceSpec names a lattice region (interval, spinor pair, triangle,
 rectangle, wedge, simplex); its basis is enumerated in graded order with the
 even sector first, and the closed-form dimension is cross-checked against the
 enumeration at construction time.  action_matrix takes the image of each
 basis monomial (apply_monomial, of a LinOperator or of an element acting by
-generator walks): either every image stays inside and an exact matrix comes
-back, or the offending monomials are returned with their out-of-space parts.
+generator walks) and stores it sparse, one {row: entry} column per label
+plus the out-of-space parts; the exact dense matrix is built on first read.
 This is the one action path: a superalgebra operator acts on a spinor pair
 through its odd variable (the odd row is the theta sector), which is the
 same action as its 2x2 matrix transcription on two-component functions.
@@ -14,8 +14,9 @@ same action as its 2x2 matrix transcription on two-component functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .operators import LinOperator, OpContext
@@ -165,14 +166,21 @@ class Escape:
 
 @dataclass
 class ActionResult:
+    """An action stored sparse, as columns and escapes; matrix is dense on read."""
     space: SpaceSpec
     labels: List[Label]
-    matrix: List[List[Scalar]] | None      # rows/cols indexed by labels
-    escapes: List[Escape] = field(default_factory=list)
+    columns: List[Dict[int, Scalar]]        # label j's image: row -> nonzero entry
+    escapes: List[Escape]
 
     @property
     def preserved(self) -> bool:
-        return self.matrix is not None
+        return not self.escapes
+
+    @cached_property
+    def matrix(self) -> List[List[Scalar]] | None:    # rows/cols indexed by labels
+        if self.escapes:
+            return None
+        return [[col.get(i, ZERO) for col in self.columns] for i in range(len(self.labels))]
 
 
 def action_matrix(op: LinOperator, s: SpaceSpec) -> ActionResult:
@@ -182,8 +190,9 @@ def action_matrix(op: LinOperator, s: SpaceSpec) -> ActionResult:
 def flag_actions(op, flag: Sequence[SpaceSpec]) -> Iterator[ActionResult]:
     """action_matrix(op, s) for each s in flag.  op is a LinOperator or an
     enveloping.ElementAction, and its apply_monomial runs once per basis
-    monomial, however many members share it.  An image term whose exponent is
-    no basis label's escapes; escapes keep the image's term order."""
+    monomial, however many members share it.  An image splits into a sparse
+    column and escapes, the terms at no basis label's exponent, which keep the
+    image's term order; no dense matrix is built."""
     ctx = op.ctx
     images: Dict[Exponent, Dict[Exponent, Scalar]] = {}
     for s in flag:
@@ -197,9 +206,7 @@ def flag_actions(op, flag: Sequence[SpaceSpec]) -> Iterator[ActionResult]:
                 images[e] = op.apply_monomial(e)
             cols.append({index[t]: c for t, c in images[e].items() if t in index})
             escapes.extend(Escape(lab, t, c) for t, c in images[e].items() if t not in index)
-        dim = len(labels)
-        matrix = None if escapes else [[cols[j].get(i, ZERO) for j in range(dim)] for i in range(dim)]
-        yield ActionResult(s, labels, matrix, escapes)
+        yield ActionResult(s, labels, cols, escapes)
 
 
 def preserves(op: LinOperator, s: SpaceSpec) -> bool:

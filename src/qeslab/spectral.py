@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .classify import CoeffAssignment
+from .enveloping import ElementAction
 from .linalg import charpoly, eval_poly
 from .operators import LinOperator, to_matrix_operator
 from .poly import Poly
@@ -49,7 +50,6 @@ class NonSquareError(ValueError):
 class Spectrum:
     charpoly: List[Scalar]          # monic, highest power first
     roots: List[complex]
-    labels: list
     trace_check: float              # relative consistency of numeric roots
 
 
@@ -68,7 +68,7 @@ def spectrum(result: ActionResult) -> Spectrum:
     det_num = complex(np.prod(croots)) if n else 1 + 0j
     scale = max(abs(tr_exact), abs(det_exact.to_complex()), 1.0)
     err = max(abs(tr_num - tr_exact), abs(det_num - det_exact.to_complex())) / scale
-    return Spectrum(coeffs, list(croots), result.labels, err)
+    return Spectrum(coeffs, list(croots), err)
 
 
 def exact_rational_eigenvalues(sp: Spectrum) -> List[Scalar]:
@@ -96,29 +96,26 @@ def eigenlaw_check(assignment: CoeffAssignment, degrees: int = 8) -> dict:
     """Diagonal of the flag action fits one exact quadratic in the degree.
 
     The operator must be flag-preserving (triangular action); the diagonal
-    entry at degree d is matched against the quadratic through d = 0, 1, 2.
+    entry at degree d is matched against the quadratic through d = 0, 1, 2,
+    so degrees must be at least 2.  The element acts by generator walks.
     """
-    spec = assignment.spec
-    gens = make_rep(spec)
-    op = assignment.operator(gens)
+    if degrees < 2:
+        raise ValueError(f"a quadratic law needs degrees >= 2, got {degrees}")
+    op = ElementAction(make_rep(assignment.spec), assignment.element())
     res = action_matrix(op, SpaceSpec("interval", (degrees,)))
     if not res.preserved:
         return {"ok": False, "reason": "operator does not preserve the flag member"}
-    m = res.matrix
-    dim = len(m)
-    for j in range(dim):
-        for i in range(j + 1, dim):
-            if not m[i][j].is_zero():
-                return {"ok": False, "reason": "action is not triangular",
-                        "entry": (i, j)}
-    diag = [m[d][d] for d in range(dim)]
+    below = [(i, j) for j, col in enumerate(res.columns) for i in sorted(col) if i > j]
+    if below:
+        return {"ok": False, "reason": "action is not triangular", "entry": below[0]}
+    diag = [col.get(d, ZERO) for d, col in enumerate(res.columns)]
     # exact quadratic through d = 0, 1, 2
     c0 = diag[0]
     half = Scalar(Fraction(1, 2))
     a = (diag[2] - Scalar(2) * diag[1] + diag[0]) * half
     b = diag[1] - diag[0] - a
-    fits = all(diag[d] == a * Scalar(d * d) + b * Scalar(d) + c0
-               for d in range(dim))
+    fits = all(x == a * Scalar(d * d) + b * Scalar(d) + c0
+               for d, x in enumerate(diag))
     return {"ok": fits, "coefficients": [str(a), str(b), str(c0)],
             "diagonal": [str(x) for x in diag]}
 
@@ -228,13 +225,7 @@ class SchrodingerReduction:
     x_of_z: List[float]
     gauge: List[float]              # A(z) samples
     potential: List[float]          # V(z) samples
-    p4: Poly
-    p3: Poly
-    p2: Poly
-
-    @property
-    def spacing(self) -> float:
-        return self.zgrid[1] - self.zgrid[0]
+    step: float | None              # uniform z step, None off a uniform grid
 
 
 def _poly_fn(p: Poly) -> Callable[[float], float]:
@@ -364,7 +355,10 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
                 + g * f4p(x) / (2.0 * f4(x)) + f2(x))
 
     pot = [v_at(x) for x in xs]
-    return SchrodingerReduction(zgrid, xs, gauge, pot, p4, p3, p2)
+    # the residual's five-point stencil needs >= 5 strictly ascending, even gaps
+    h = zgrid[1] - zgrid[0] if len(zgrid) >= 5 else 0.0
+    uniform = h > 0 and all(abs(v - u - h) <= 1e-9 * h for u, v in zip(zgrid, zgrid[1:]))
+    return SchrodingerReduction(zgrid, xs, gauge, pot, h if uniform else None)
 
 
 def _dpoly(p: Poly) -> Poly:
@@ -374,10 +368,12 @@ def _dpoly(p: Poly) -> Poly:
 def schrodinger_residual(red: SchrodingerReduction, phi: Poly,
                          eps: float) -> float:
     """max |-psi'' + V psi - eps psi| with psi = phi(x(z)) e^(-A), five-point
-    interior stencils."""
+    interior stencils on the reduction's uniform z step."""
+    h = red.step
+    if h is None:
+        raise ValueError("the residual needs a uniform, ascending z grid of >= 5 nodes")
     fphi = _poly_fn(phi)
     psi = [fphi(x) * math.exp(-a) for x, a in zip(red.x_of_z, red.gauge)]
-    h = red.spacing
     worst = 0.0
     for i in range(2, len(psi) - 2):
         dd = (-psi[i + 2] + 16 * psi[i + 1] - 30 * psi[i]
@@ -414,7 +410,6 @@ class MatrixPotentialModel:
     ygrid: List[float]
     gauge: List[np.ndarray]             # U(y) samples
     potential: List[np.ndarray]         # derived V(y) samples (residual oracle)
-    potential_printed: List[np.ndarray]  # catalogued closed form, for comparison
     action: ActionResult
     hermitian: bool
     printed_deviation: float
@@ -503,7 +498,7 @@ def build_matrix_example(alpha: float, beta: float, n: int,
                    + (-(n + 0.25) * 0.0) * SIG2 for y in ygrid]
     herm = all(np.allclose(v, v.conj().T, atol=1e-10) for v in printed)
     dev = max(float(np.max(np.abs(a - b))) for a, b in zip(printed, derived))
-    return MatrixPotentialModel(alpha, beta, n, ygrid, gauge, derived, printed,
+    return MatrixPotentialModel(alpha, beta, n, ygrid, gauge, derived,
                                 action, herm, dev, action.preserved)
 
 

@@ -21,8 +21,8 @@ from qeslab.dsl import parse_operator, print_ast
 from qeslab.enveloping import burnside_span_rank, param_count, verify_relations
 from qeslab.operators import LinOperator
 from qeslab.poly import Poly
-from qeslab.reps import (ALGEBRAS, RepSpec, make_rep, root_of_unity_generators,
-                         verify_structure)
+from qeslab.reps import (ALGEBRAS, GeneratorSet, RepSpec, make_rep,
+                         root_of_unity_generators, verify_structure)
 from qeslab.scalars import QParam, Scalar
 from qeslab.spaces import SpaceSpec, action_matrix, dimension, flag_preserves
 from qeslab.spectral import (build_matrix_example, build_sextic, eigenlaw_check,
@@ -212,16 +212,20 @@ def test_criterion_06_sextic_family():
              f"spectra {{1,5}} and +/-2*sqrt(2) verified")
 
 
-def test_criterion_07_quadratic_eigenvalue_law():
+def _criterion_07_reports():
+    """eigenlaw_check on 50 seeded flag-preserving sl2 quadratics."""
     rng = random.Random(SEED)
-    bad = 0
+    reps = []
     for t in range(50):
         n = S(Fraction(rng.randint(-6, 12), rng.choice([1, 2, 3])))
         vals = {nm: S(Fraction(rng.randint(-9, 9), rng.choice([1, 2])))
                 for nm in ("c_+-", "c_0-", "c_--", "c_0", "c_-", "c")}
-        rep = eigenlaw_check(CoeffAssignment(RepSpec("sl2", n=n), vals), degrees=8)
-        if not rep["ok"]:
-            bad += 1
+        reps.append(eigenlaw_check(CoeffAssignment(RepSpec("sl2", n=n), vals), degrees=8))
+    return reps
+
+
+def test_criterion_07_quadratic_eigenvalue_law():
+    bad = sum(not rep["ok"] for rep in _criterion_07_reports())
     announce(7, bad == 0,
              "50 seeded flag-preserving quadratics: diagonal law exactly "
              f"quadratic on degrees 0..8 (exact arithmetic), failures={bad}")
@@ -309,6 +313,17 @@ def test_criterion_11_full_matrix_span():
     announce(11, ok,
              f"ordered words of degree <= n span the full matrix algebra: "
              f"{ranks} vs squares")
+
+
+def test_burnside_and_eigenlaw_expand_nothing(monkeypatch):
+    # criteria 07 and 11 act with generator walks, never an expanded operator
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was expanded")
+
+    monkeypatch.setattr(CoeffAssignment, "operator", refuse)
+    monkeypatch.setattr(GeneratorSet, "word_op", refuse)
+    assert burnside_span_rank(4) == 25
+    assert all(rep["ok"] for rep in _criterion_07_reports())
 
 
 def test_criterion_12_parser_and_report_determinism(tmp_path):

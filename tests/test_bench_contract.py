@@ -11,9 +11,11 @@ chain in ``bench/*.py`` that starts at a ``qeslab`` module or at a name
 imported from one (``enveloping.flatten_matrix_ops``,
 ``classify.CoeffAssignment.operator``).
 
-Out of their reach: attributes looked up on instances, such as the methods
-in ``m.order()`` or ``sl2.apply_poly(...)``; the chain there starts at a
-local value, not at an imported name.
+Out of the name check's reach: attributes looked up on instances, such as
+the methods in ``m.order()`` or ``sl2.apply_poly(...)``; the chain there
+starts at a local value, not at an imported name.  The fields that the bench
+reads off result records (an action, a spectrum, a reduction) are checked on
+live instances instead.
 """
 
 import ast
@@ -98,3 +100,28 @@ def test_bench_library_names_resolve(path):
             _resolve(dotted)
         except (AttributeError, ImportError):
             pytest.fail(f"{path.name}:{node.lineno}: {dotted} does not exist")
+
+
+# result-record attributes that bench/*.py reads, by record
+BENCH_READS = {
+    "ActionResult": ("matrix", "preserved", "labels"),
+    "Spectrum": ("charpoly", "trace_check"),
+    "SchrodingerReduction": ("gauge", "potential", "x_of_z"),
+}
+
+
+def test_bench_result_reads_resolve():
+    from qeslab.reps import RepSpec, make_rep
+    from qeslab.scalars import Scalar
+    from qeslab.spaces import SpaceSpec, action_matrix
+    from qeslab.spectral import sextic_reduction, spectrum
+
+    sl2 = make_rep(RepSpec("sl2", n=Scalar(2))).op("J0")
+    act = action_matrix(sl2, SpaceSpec("interval", (2,)))
+    red, _ = sextic_reduction(1, 0, 1, 0, [0.1 + i * 1e-2 for i in range(9)])
+    records = {"ActionResult": act, "Spectrum": spectrum(act),
+               "SchrodingerReduction": red}
+    for name, attrs in BENCH_READS.items():
+        assert type(records[name]).__name__ == name
+        for attr in attrs:
+            assert getattr(records[name], attr) is not None, f"{name}.{attr}"

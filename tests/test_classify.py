@@ -12,12 +12,14 @@ from qeslab.classify import (CASE_FAMILIES, CaseRule, CoeffAssignment, _param_en
                              conclusion_spaces, constrained_param_count, find_rule,
                              match_cases, rules_for, sample_assignment, target_escapes,
                              verify_case)
+from qeslab.cli import run_command
 from qeslab.enveloping import flatten_ops, words_up_to_degree
 from qeslab.linalg import rref
 from qeslab.operators import LinOperator, OpContext
 from qeslab.reps import GeneratorSet, RepSpec, make_rep
 from qeslab.scalars import ONE, QParam, Scalar, ZERO
-from qeslab.spaces import SpaceSpec, action_matrix, flag_actions
+from qeslab.spaces import ActionResult, SpaceSpec, action_matrix, flag_actions
+from tests.test_cli import CLASSIFY_COEFFS, OSP22_DIGESTS
 
 S = Scalar
 
@@ -280,6 +282,27 @@ def test_oracle_expands_no_operator(monkeypatch):
     spec = RepSpec("sl2", n=S(6))
     rep = verify_case(CONTROL_RULE, spec, {"n": spec.n}, trials=25, seed=7)
     assert rep["certified"] is False and len(rep["counterexamples"]) == 25
+
+
+def test_oracle_builds_no_dense_matrix(monkeypatch, tmp_path):
+    # the certificate, the trials and `qeslab classify` read escapes only
+    def refuse(self):
+        raise AssertionError("the oracle built a dense action matrix")
+
+    monkeypatch.setattr(ActionResult, "matrix", property(refuse))
+    spec = RepSpec("sl2", n=S(5))
+    rep = verify_case(find_rule(spec, "Lemma1.3"), spec, {"n": S(5), "m": 2})
+    assert rep["certified"] is True and rep["ok"]
+    spec = RepSpec("sl2", n=S(6))
+    rep = verify_case(CONTROL_RULE, spec, {"n": spec.n}, trials=25, seed=7)
+    assert rep["certified"] is False and len(rep["counterexamples"]) == 25
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    coeffs, report = tmp_path / "coeffs.json", tmp_path / "report.json"
+    coeffs.write_text(json.dumps(CLASSIFY_COEFFS))
+    argv = ("classify", "--algebra", "osp22", "--n", "3", "--coeffs", "COEFFS")
+    args = [str(coeffs) if a == "COEFFS" else a for a in argv]
+    assert run_command(args + ["--json", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == OSP22_DIGESTS[argv]
 
 
 def _reference_witnesses(rule, spec, params, trials, seed):

@@ -247,6 +247,31 @@ def test_reduce_report_digest_pinned(argv, tmp_path, monkeypatch):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REDUCE_DIGESTS[argv]
 
 
+# invariance reports and their exit codes, pinned the same way before the
+# action was stored as sparse columns: a preserved space, a triangle with 31
+# escapes (the report lists the first 20, in basis and image-term order), and
+# a spinor pair whose even row escapes into the odd sector
+INVARIANCE_DIGESTS = {
+    ("invariance", "--algebra", "sl2", "--n", "4", "--op", "J+*J- - 2*J0 + J-",
+     "--space", "int:4"):
+        (0, "4fa851a8fa10c1c9be3d3d382da9645b5c76ceb553720aa39f4f38f5eeafc31a"),
+    ("invariance", "--op", "x^3*Dx + 2*y^2*x - 3*y^3", "--space", "tri:4"):
+        (1, "8778af6cd9ff66bbbcfbbfcd1c9ba27cbb9542754fa6b8c9ba12df1c82003c8d"),
+    ("invariance", "--algebra", "osp22", "--n", "3", "--op", "T+*Q1 + J*T0 + x^2*Qb1",
+     "--space", "spin:3,2"):
+        (1, "0146517cdd0b7d320ef736c2386b0a3a5f96dabf85e71bd81b460b80587746cf"),
+}
+
+
+@pytest.mark.parametrize("argv", list(INVARIANCE_DIGESTS), ids=lambda argv: argv[-1])
+def test_invariance_report_digests_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    code, digest = INVARIANCE_DIGESTS[argv]
+    path = tmp_path / "report.json"
+    assert run_command(list(argv) + ["--json", str(path)]) == code
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_spectrum_command(capsys):
     code, rep = run_json(capsys, [
         "spectrum", "--algebra", "sl2", "--n", "1",

@@ -108,6 +108,13 @@ def test_eigenlaw_50_random_exact(subtests=None):
         assert rep["ok"], (t, rep)
 
 
+@pytest.mark.parametrize("degrees", [0, 1])
+def test_eigenlaw_needs_three_degrees(degrees):
+    asg = CoeffAssignment(RepSpec("sl2", n=S(2)), {"c_0": S(1)})
+    with pytest.raises(ValueError, match="degrees >= 2"):
+        eigenlaw_check(asg, degrees=degrees)
+
+
 def test_eigenlaw_rejects_nontriangular():
     spec = RepSpec("sl2", n=S(4))
     rep = eigenlaw_check(CoeffAssignment(spec, {"c_+": S(1), "c_0-": S(1)}))
@@ -245,6 +252,26 @@ def test_reduce_rejects_an_empty_grid(p4, domain):
     zero = Poly(("x",), {})
     with pytest.raises(ValueError, match="the z grid is empty"):
         reduce_to_schrodinger(p4, zero, zero, domain, zgrid=[])
+
+
+@pytest.mark.parametrize("zs", [
+    [0.5, 0.1, 0.2, 0.9, 1.0, 1.3],         # shuffled: its first gap is negative
+    [0.1, 0.2, 0.3],                        # no five-point stencil fits
+    [0.2],
+    [1.3, 1.2, 1.1, 1.0, 0.9],              # uniform but descending
+])
+def test_residual_refuses_a_nonuniform_grid(zs):
+    p4, p3 = Poly(("x",), {(0,): 1, (2,): 1}), Poly(("x",), {(1,): 3})
+    red = reduce_to_schrodinger(p4, p3, Poly(("x",), {}), (-2.0, 2.0), zgrid=zs)
+    assert red.step is None
+    with pytest.raises(ValueError, match="uniform, ascending z grid of >= 5 nodes"):
+        schrodinger_residual(red, Poly(("x",), {(1,): 1}), 0.0)
+
+
+def test_reduction_records_its_uniform_step():
+    one, zero = Poly(("x",), {(0,): 1}), Poly(("x",), {})
+    red = reduce_to_schrodinger(one, zero, zero, (-2.0, 2.0), zgrid=ZS_CENTRED)
+    assert red.step == ZS_CENTRED[1] - ZS_CENTRED[0]
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (2, 1), (3, 0)])
