@@ -266,6 +266,8 @@ def cmd_reduce(args) -> int:
         params = dict(kv.split("=") for kv in args.sextic.split(","))
         n, k = int(params["n"]), int(params["k"])
         a, b = Fraction(params["a"]), Fraction(params["b"])
+        if n < 0 or k not in (0, 1):
+            raise ValueError(f"need n >= 0 and k in {{0, 1}}, got n={n}, k={k}")
     if not (args.spacing > 0 and 0 < args.zmin <= args.zmax < float("inf")):
         raise UsageError("the z grid needs --spacing > 0 and 0 < --zmin <= --zmax, "
                          f"got {args.spacing}, {args.zmin}, {args.zmax}")
@@ -290,6 +292,8 @@ def cmd_reduce(args) -> int:
 def cmd_matrix_example(args) -> int:
     with _bad_input("bad --alpha, --beta or --n"):
         alpha, beta, n = float(Fraction(args.alpha)), float(Fraction(args.beta)), int(args.n)
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
     model = build_matrix_example(alpha, beta, n)
     resid = matrix_example_residuals(model) if model.preserved else []
     if args.csv:
@@ -314,6 +318,9 @@ def cmd_identity(args) -> int:
     with _bad_input("bad --n or --q"):
         n, q = int(args.n or 1), Fraction(args.q) if args.q else 2
         QParam(q)
+    if n < 0 or args.k < 1 or args.r < 1:
+        raise UsageError(f"need --n >= 0, --k >= 1 and --r >= 1, got --n {n}, "
+                         f"--k {args.k}, --r {args.r}")
     rep = verify_identity(args.id, n=n, q=q, r=args.r, k=args.k,
                           grassmann=args.grassmann)
     rep.pop("remainder_terms", None)
@@ -498,13 +505,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_burnside(args) -> int:
+    if args.degree < 1:
+        raise UsageError(f"--degree must be at least 1, got {args.degree}")
     rows = []
-    for n in range(1, (args.degree or 4) + 1):
+    for n in range(1, args.degree + 1):
         got = burnside_span_rank(n)
         rows.append({"n": n, "rank": got, "full": (n + 1) ** 2,
                      "ok": got == (n + 1) ** 2})
     ok = all(r["ok"] for r in rows)
-    return emit(args, "burnside", {"max_n": args.degree or 4}, {"rows": rows}, ok)
+    return emit(args, "burnside", {"max_n": args.degree}, {"rows": rows}, ok)
 
 
 # --------------------------------------------------------------------------
@@ -523,14 +532,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     sub_kw = {"parents": [shared]}
 
-    def common(sp, op=False):
+    def common(sp, op=False, env=False):
         sp.add_argument("--algebra", choices=ALGEBRAS)
         sp.add_argument("--n")
         sp.add_argument("--m", default="0")
         sp.add_argument("--q")
         sp.add_argument("--r", type=int, default=1)
         sp.add_argument("--k", type=int, default=2)
-        sp.add_argument("--vars")
+        if env:  # the variables of an operator read without --algebra
+            sp.add_argument("--vars")
         if op:
             sp.add_argument("--op", required=True)
 
@@ -540,18 +550,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_rep)
 
     sp = sub.add_parser("parse", **sub_kw, help="parse an operator expression")
-    common(sp, op=True)
+    common(sp, op=True, env=True)
     sp.add_argument("--space")
     sp.set_defaults(fn=cmd_parse)
 
     sp = sub.add_parser("act", **sub_kw, help="apply an operator to a polynomial")
-    common(sp, op=True)
+    common(sp, op=True, env=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--space")
     sp.set_defaults(fn=cmd_act)
 
     sp = sub.add_parser("commutator", **sub_kw, help="commutator of two operator expressions")
-    common(sp)
+    common(sp, env=True)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--space")
@@ -563,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_grading)
 
     sp = sub.add_parser("invariance", **sub_kw, help="does the operator preserve the space?")
-    common(sp, op=True)
+    common(sp, op=True, env=True)
     sp.add_argument("--space", required=True)
     sp.set_defaults(fn=cmd_invariance)
 
@@ -593,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_param_count)
 
     sp = sub.add_parser("spectrum", **sub_kw, help="exact spectrum on an invariant space")
-    common(sp, op=True)
+    common(sp, op=True, env=True)
     sp.add_argument("--space", required=True)
     sp.set_defaults(fn=cmd_spectrum)
 

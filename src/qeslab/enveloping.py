@@ -33,7 +33,7 @@ from .freealg import FreeExpr, Word
 from .linalg import nullspace, rank
 from .operators import LinOperator, MatrixOperator, even_odd, to_matrix_operator
 from .poly import Exponent
-from .reps import (GeneratorSet, Relation, RepSpec, _evaluate_relation, make_rep,
+from .reps import (GeneratorSet, Relation, RepSpec, evaluate_element, make_rep,
                    sl2q_constants)
 from .scalars import ONE, Scalar, ZERO
 from .spaces import SpaceSpec, action_matrix, flag_actions
@@ -61,10 +61,7 @@ def expand_word(gens: GeneratorSet, word: Word) -> LinOperator:
 
 def expand(p: FreeExpr, gens: GeneratorSet) -> LinOperator:
     """Canonical operator of an enveloping-algebra element."""
-    out = LinOperator.zero(gens.ctx)
-    for word, c in p.items():
-        out = out + gens.word_op(word).scale(c)
-    return out
+    return evaluate_element(p, gens.word_op)
 
 
 class ElementAction:
@@ -434,7 +431,7 @@ def verify_relations(spec: RepSpec, n_values: Sequence[Scalar] | None = None,
         sp = RepSpec(spec.algebra, n=n, m=m, q=spec.q, r=spec.r, k=spec.k)
         gens = make_rep(sp)
         for rel in relation_table(sp):
-            diff = _evaluate_relation(rel, gens.word_op)
+            diff = expand(rel.expr, gens)
             ok = diff.is_zero()
             rows.append({"label": rel.label, "n": str(n), "m": str(m),
                          "as_printed": rel.as_printed, "ok": ok,

@@ -4,24 +4,23 @@ Concrete items (A1, A4, A5, A7, A8, A12) expand through the operator engine
 or quantum-plane normal ordering and compare canonically with their closed
 right-hand sides; A1, A4, A5, A7 and A8 share one raising generator and one
 multinomial closed form for its power.  Abstract items (A2, A6, A9, A14)
-live in the free algebra; A3 and A10 embed the one-variable bracket tables
-into (deformed) Heisenberg pairs.  A7's remainder beyond the main binomial
-sum is returned with the verdict, with its top-order block checked against
-the catalogued rows.
+live in the free algebra; A3 and A10 embed the one-variable families' own
+structure tables (make_rep's, not copies) into (deformed) Heisenberg pairs.
+A7's remainder beyond the main binomial sum is returned with the verdict,
+with its top-order block checked against the catalogued rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .freealg import (FreeExpr, expr, expr_add, expr_mul, expr_pow,
-                      expr_scale, expr_sub, heisenberg_system, normal_order,
-                      q_heisenberg_system, quantum_plane_system, QUANTUM_PLANE,
-                      TWO_PAIR)
+from .freealg import (FreeExpr, RewriteSystem, expr, expr_add, expr_mul, expr_pow,
+                      expr_sub, heisenberg_system, normal_order, q_heisenberg_system,
+                      quantum_plane_system, QUANTUM_PLANE, TWO_PAIR)
 from .operators import LinOperator, OpContext
-from .reps import RepSpec, sl2q_constants
+from .reps import Relation, RepSpec, make_rep, sl2q_constants
 from .scalars import DegenerateQError, QParam, Scalar, ScalarLike, ZERO, qbinomial, qnumber
 from .spaces import SpaceSpec, action_matrix
 
@@ -84,28 +83,36 @@ def verify_A2(n_values: Sequence[ScalarLike] = (0, 1, 2, 3, 4)) -> dict:
             "cases": results}
 
 
+def _heisenberg_sl2(n_plus: Scalar, n_zero: Scalar) -> Dict[str, FreeExpr]:
+    """J+ = Q^2 P - n_plus Q, J0 = QP - n_zero, J- = P."""
+    return {"J+": _jplus(n_plus), "J0": expr((1, ("Q", "P")), (-n_zero, ())),
+            "J-": expr((1, ("P",)))}
+
+
+def _embedded(rel: Relation, images: Dict[str, FreeExpr], rs: RewriteSystem) -> FreeExpr:
+    """Normal form of a relation's LHS - RHS with each generator replaced by
+    its image; empty exactly when the relation holds in the images."""
+    total: FreeExpr = {}
+    for word, c in rel.expr.items():
+        term = expr((c, ()))
+        for name in word:
+            term = expr_mul(term, images[name])
+        total = expr_add(total, term)
+    return normal_order(total, rs)
+
+
 def verify_A3(n_values: Sequence[ScalarLike] = (0, 1, Fraction(5, 2))) -> dict:
-    """J+ = Q^2 P - nQ, J0 = QP - n/2, J- = P close the one-variable table."""
+    """The one-variable family's own bracket table holds in its Heisenberg
+    image J+ = Q^2 P - nQ, J0 = QP - n/2, J- = P."""
     rs = heisenberg_system()
     rows = []
     for n in n_values:
         n = Scalar.of(n)
-        jp = _jplus(n)
-        j0 = expr((1, ("Q", "P")), (-n / Scalar(2), ()))
-        jm = expr((1, ("P",)))
-        checks = [
-            ("[J0,J+]=J+", expr_sub(_comm(j0, jp), jp)),
-            ("[J0,J-]=-J-", expr_sub(_comm(j0, jm), expr_scale(jm, -1))),
-            ("[J+,J-]=-2J0", expr_sub(_comm(jp, jm), expr_scale(j0, -2))),
-        ]
-        for label, diff in checks:
-            rows.append({"n": str(n), "relation": label,
-                         "ok": not normal_order(diff, rs)})
+        images = _heisenberg_sl2(n, n / Scalar(2))
+        for rel in make_rep(RepSpec("sl2", n=n)).structure:
+            rows.append({"n": str(n), "relation": rel.label,
+                         "ok": not _embedded(rel, images, rs)})
     return {"id": "A3", "ok": all(r["ok"] for r in rows), "cases": rows}
-
-
-def _comm(a: FreeExpr, b: FreeExpr) -> FreeExpr:
-    return expr_sub(expr_mul(a, b), expr_mul(b, a))
 
 
 def verify_A4(n: int, grassmann: bool = False) -> dict:
@@ -159,8 +166,7 @@ def _compositions(total: int, k: int) -> List[Tuple[int, ...]]:
 def verify_A6(k: int, n: int) -> dict:
     """Abstract multi-pair Heisenberg form of the multinomial identity."""
     rs = heisenberg_system(pairs=k)
-    qs = [f"Q{i}" for i in range(1, k + 1)]
-    ps = [f"P{i}" for i in range(1, k + 1)]
+    qs, ps = rs.order[:k], rs.order[k:]
     euler = {(): Scalar(-n)}
     for q, p in zip(qs, ps):
         euler = expr_add(euler, expr((1, (q, p))))
@@ -247,31 +253,19 @@ def verify_A9(n: int, q: ScalarLike) -> dict:
 
 
 def verify_A10(n: int, q: ScalarLike) -> dict:
-    """The deformed pair embeds the one-variable difference family: cleared
-    bracket table with base b = q^2."""
+    """The difference family's own cleared bracket table (base b = q^2) holds
+    in its deformed-pair image J+ = Q^2 P - {n} Q, J0 = QP - nhat, J- = P."""
     qp = QParam(q, base="squared")
-    b = qp.b
-    rs = q_heisenberg_system(b)
+    rs = q_heisenberg_system(qp.b)
     try:
-        nq, _, nh, kappa, lam = sl2q_constants(RepSpec("sl2q", n=Scalar(n), q=qp))
+        spec = RepSpec("sl2q", n=Scalar(n), q=qp)
     except DegenerateQError:
         return {"id": "A10", "n": n, "q": str(Scalar.of(q)), "ok": False,
                 "reason": "degenerate deformation"}
-    jp = _jplus(nq)
-    j0 = expr((1, ("Q", "P")), (-nh, ()))
-    jm = expr((1, ("P",)))
-    checks = [
-        ("b j0 j- - j- j0 = -kappa j-",
-         expr_sub(expr_sub(expr_scale(expr_mul(j0, jm), b), expr_mul(jm, j0)),
-                  expr_scale(jm, -kappa))),
-        ("b^2 j+ j- - j- j+ = -lambda j0",
-         expr_sub(expr_sub(expr_scale(expr_mul(jp, jm), b * b), expr_mul(jm, jp)),
-                  expr_scale(j0, -lam))),
-        ("j0 j+ - b j+ j0 = kappa j+",
-         expr_sub(expr_sub(expr_mul(j0, jp), expr_scale(expr_mul(jp, j0), b)),
-                  expr_scale(jp, kappa))),
-    ]
-    rows = [{"relation": lab, "ok": not normal_order(d, rs)} for lab, d in checks]
+    nq, _, nh, _, _ = sl2q_constants(spec)
+    images = _heisenberg_sl2(nq, nh)
+    rows = [{"relation": rel.label, "ok": not _embedded(rel, images, rs)}
+            for rel in make_rep(spec).structure]
     return {"id": "A10", "n": n, "q": str(Scalar.of(q)),
             "ok": all(r["ok"] for r in rows), "cases": rows}
 

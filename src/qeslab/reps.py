@@ -8,9 +8,9 @@ verdicts; nothing is assumed, everything is expanded.
 
 The difference-calculus family stores the unrescaled generators.  Its bracket
 table is kept in cleared form (both sides multiplied by the scaling factors
-q^(n/2), q^n of the rescaled basis), which is rational for every mark; when
-q^(n/2) itself is rational the literally rescaled relations are checked too
-and the report records which form ran.
+q^(n/2), q^n of the rescaled basis), which is rational for every mark.  Each
+table is stated once, here: the identity catalogue embeds these same tables
+into Heisenberg pairs, and make_rep builds without checking them.
 """
 
 from __future__ import annotations
@@ -139,18 +139,19 @@ class GeneratorSet:
         return self._steps[key]
 
 
-def _evaluate_relation(rel: Relation, word: Callable[[Word], object]):
-    """LHS - RHS of a relation, where word(w) is the product of the named
-    generators (and word(()) the identity) in some operator algebra."""
+def evaluate_element(element: FreeExpr, word: Callable[[Word], object]):
+    """The operator of an enveloping-algebra element, such as a relation's
+    LHS - RHS, where word(w) is the product of the named generators (and
+    word(()) the identity) in some operator algebra."""
     total = word(()).scale(ZERO)
-    for w, c in rel.expr.items():
+    for w, c in element.items():
         total = total + word(w).scale(c)
     return total
 
 
 def _product(ops: Dict[str, object], ident) -> Callable[[Sequence[str]], object]:
     """Word products over an operator dict that is not a GeneratorSet's own
-    generators (the superalgebra's matrix images, rescaled generators)."""
+    generators (the superalgebra's matrix images)."""
     def word(names: Sequence[str]):
         term = ident
         for name in names:
@@ -168,7 +169,7 @@ def verify_structure(gens: GeneratorSet, matrix_form: bool = False) -> dict:
         word = gens.word_op
     rows = []
     for rel in gens.structure:
-        res = _evaluate_relation(rel, word)
+        res = evaluate_element(rel.expr, word)
         ok = res.is_zero()
         rows.append({"label": rel.label, "form": rel.form, "ok": ok,
                      "residual": None if ok else repr(res)})
@@ -183,16 +184,6 @@ def verify_structure(gens: GeneratorSet, matrix_form: bool = False) -> dict:
 
 # --------------------------------------------------------------------------
 # helpers
-
-def _frac_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    from math import isqrt
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
 
 def _mark_power(spec: RepSpec) -> Scalar:
     """b**n at the effective base b as an exact scalar: explicit override, or
@@ -249,7 +240,6 @@ def _make_sl2q(spec: RepSpec) -> GeneratorSet:
     q = spec.q.b  # structure constants live at the effective base
     ctx = OpContext(["x"], q=spec.q)
     nq, _, nh, kappa, lam = sl2q_constants(spec)
-    t = ONE if q == ONE else _mark_power(spec)
     notes = ["base 1: classical limit branch"] if q == ONE else []
     jp, j0, D = _sl2_like_ops(ctx, "x", nq, nh)
     # cleared form of the deformed bracket table: multiply the rescaled
@@ -265,41 +255,12 @@ def _make_sl2q(spec: RepSpec) -> GeneratorSet:
                     [(1, ("J0", "J+")), (-q, ("J+", "J0"))],
                     [(kappa, ("J+",))], form="cleared"),
     ]
-    gens = GeneratorSet(
+    return GeneratorSet(
         spec, ctx, ("J+", "J0", "J-"),
         {"J+": jp, "J0": j0, "J-": D},
         {g: 0 for g in ("J+", "J0", "J-")},
         {"J+": GV(1), "J0": GV(0), "J-": GV(-1)},
         structure, notes=notes)
-    # literal rescaled check when q^(n/2) is rational
-    s = None
-    if t.is_rational() and q.is_rational():
-        s = _frac_sqrt(t.re)
-    if s is not None and q != ONE:
-        sc = Scalar(s)
-        c0 = (ONE / (q + ONE)) * lam / t if not (q + ONE).is_zero() else None
-        if c0 is not None:
-            jr = {"J+": jp.scale(sc.inv()), "J-": D.scale(sc.inv()),
-                  "J0": j0.scale(c0)}
-            rescaled = [
-                Relation.of("q j0j- - j-j0 = -j-",
-                            [(q, ("J0", "J-")), (-1, ("J-", "J0"))], [(-1, ("J-",))]),
-                Relation.of("q^2 j+j- - j-j+ = -(q+1) j0",
-                            [(q * q, ("J+", "J-")), (-1, ("J-", "J+"))],
-                            [(-(q + ONE), ("J0",))]),
-                Relation.of("j0j+ - q j+j0 = j+",
-                            [(1, ("J0", "J+")), (-q, ("J+", "J0"))], [(1, ("J+",))]),
-            ]
-            word = _product(jr, LinOperator.identity(ctx))
-            for rel in rescaled:
-                if not _evaluate_relation(rel, word).is_zero():
-                    gens.notes.append(f"rescaled check FAILED: {rel.label}")
-                    break
-            else:
-                gens.notes.append("rescaled form verified (q^(n/2) rational)")
-    else:
-        gens.notes.append("rescaled form skipped (q^(n/2) irrational); cleared form used")
-    return gens
 
 
 def _make_osp22(spec: RepSpec) -> GeneratorSet:

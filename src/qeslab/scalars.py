@@ -206,11 +206,3 @@ def qbinomial(n: int, k: int, q: QParam) -> Scalar:
         for j in range(min(m, k), 0, -1):
             row[j] = row[j - 1] + powers[j] * row[j]
     return row[k]
-
-
-def nhat(n: int, q: QParam) -> Scalar:
-    """The shifted Cartan constant {n}{n+1}/{2n+2}; equals n/2 at base 1."""
-    den = qnumber(2 * n + 2, q)
-    if den.is_zero():
-        raise DegenerateQError(f"{{2n+2}} = 0 at q={q.q} (n={n})")
-    return qnumber(n, q) * qnumber(n + 1, q) / den

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .operators import LinOperator, OpContext
-from .poly import Exponent, Poly
+from .poly import Exponent
 from .scalars import Scalar, ZERO
 
 # basis label: exponent tuple over the space variables, plus the odd flag
@@ -151,12 +151,6 @@ def _exponent(s: SpaceSpec, label: Label, ctx: OpContext) -> Exponent:
     return tuple(e)
 
 
-def enumerate_basis(s: SpaceSpec, ctx: OpContext) -> List[Poly]:
-    """Basis monomials as polynomials over the operator context."""
-    return [Poly.monomial(ctx.all_vars, _exponent(s, lab, ctx), 1, ctx.nil)
-            for lab in s.labels()]
-
-
 @dataclass
 class Escape:
     source: Label
@@ -217,7 +211,7 @@ def flag_preserves(op: LinOperator, flag: Sequence[SpaceSpec]) -> bool:
     dims = [dimension(s) for s in flag]
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("flag members must strictly increase in dimension")
-    return all(preserves(op, s) for s in flag)
+    return all(res.preserved for res in flag_actions(op, flag))
 
 
 def parse_space(text: str) -> SpaceSpec:

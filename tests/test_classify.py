@@ -16,8 +16,8 @@ from qeslab.cli import run_command
 from qeslab.enveloping import flatten_ops, words_up_to_degree
 from qeslab.linalg import rref
 from qeslab.operators import LinOperator, OpContext
-from qeslab.reps import GeneratorSet, RepSpec, make_rep
-from qeslab.scalars import ONE, QParam, Scalar, ZERO
+from qeslab.reps import GeneratorSet, RepSpec, make_rep, sl2q_constants
+from qeslab.scalars import ONE, QParam, Scalar, ZERO, qnumber
 from qeslab.spaces import ActionResult, SpaceSpec, action_matrix, flag_actions
 from tests.test_cli import CLASSIFY_COEFFS, OSP22_DIGESTS
 
@@ -93,8 +93,7 @@ def test_match_cases_one_variable():
 def test_match_cases_deformed():
     q = QParam(2)
     spec = RepSpec("sl2q", n=S(3), q=q)
-    from qeslab.scalars import nhat, qnumber
-    factor = nhat(3, q) - qnumber(2, q)
+    factor = sl2q_constants(spec)[2] - qnumber(2, q)
     asg = CoeffAssignment(spec, {"c_+0": S(1), "c_+": factor, "c_--": S(1)})
     hits = match_cases(asg)
     assert any(h["id"] == "Lemma2.3" and h["params"] == {"m": "2"} for h in hits)

@@ -62,11 +62,52 @@ def test_usage_error_exit_code(capsys):
     ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmin", "0"],
     ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmin=-1"],
     ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmax", "0.05"],
+    ["burnside", "--degree", "0"],
+    ["burnside", "--degree", "-1"],
+    ["identity", "--id", "A2", "--n", "-3"],
+    ["identity", "--id", "A1", "--n", "-1"],
+    ["identity", "--id", "A4", "--n", "-1"],
+    ["identity", "--id", "A9", "--n", "-1"],
+    ["identity", "--id", "A12", "--n", "-1"],
+    ["identity", "--id", "A14", "--n", "-1"],
+    ["identity", "--id", "A8", "--n", "-2"],
+    ["identity", "--id", "A5", "--k", "0"],
+    ["identity", "--id", "A6", "--k", "0"],
+    ["identity", "--id", "A7", "--r", "0"],
+    ["matrix-example", "--alpha", "2", "--beta", "1", "--n", "-1"],
+    ["reduce", "--sextic", "n=-1,k=0,a=1,b=1"],
+    ["reduce", "--sextic", "n=2,k=2,a=1,b=1"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert run_command(argv) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["schema"] == 1 and "internal" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "verify", "--algebra", "sl2", "--n", "3"],
+    ["grading", "--algebra", "sl2", "--word", "J+"],
+    ["classify", "--algebra", "sl2", "--n", "4", "--coeffs", "COEFFS"],
+    ["match-cases", "--algebra", "sl2", "--n", "4", "--coeffs", "COEFFS"],
+], ids=lambda argv: argv[0])
+def test_vars_is_refused_where_nothing_reads_it(argv, tmp_path, capsys):
+    # only the commands that read an operator without --algebra take --vars
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps({"c_+": "1"}))
+    argv = [str(coeffs) if a == "COEFFS" else a for a in argv]
+    assert run_command(argv) == 0
+    assert run_command(argv + ["--vars", "x,y"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--op", "y*Dx"],
+    ["act", "--op", "y*Dx", "--f", "x^2"],
+    ["commutator", "--a", "y*Dx", "--b", "x"],
+    ["invariance", "--op", "x*Dx", "--space", "int:2"],
+    ["spectrum", "--op", "x*Dx", "--space", "int:2"],
+], ids=lambda argv: argv[0])
+def test_vars_is_kept_where_an_operator_is_read(argv, capsys):
+    assert run_command(argv + ["--vars", "x,y"]) == 0
 
 
 def test_bad_choice_is_rejected_by_the_parser(capsys):
@@ -113,8 +154,10 @@ REPORT_DIGESTS = {
         "a96e6b77c8c608d6f70066cd57086513106dfe3c64134453dd9fbf491e2c7d99",
     ("verify", "--suite", "relations"):
         "230b5860a432e1762f9e019e49834096fef45e96217aea6536d5c8d8eeee5e7f",
+    # re-pinned when A10 began reading the difference family's own table:
+    # only its three relation labels moved, at q = 2 and q = 3/2
     ("verify", "--suite", "identities"):
-        "af94f3a5c352e58beff539355fbb8ab74a57aae2d5556ba6b787e187570efb59",
+        "038fdd529668cd62ecbf3dca168d32297b1ebb13554942294afe68671b7a082c",
     ("verify", "--suite", "shapes"):
         "725bf444debe721d65cd8539b4993ec3effeec9d03c349d329106d7a12d67384",
     ("burnside", "--degree", "4"):
@@ -128,6 +171,27 @@ def test_report_digests_pinned(argv, tmp_path, monkeypatch):
     path = tmp_path / "report.json"
     assert run_command(list(argv) + ["--json", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+# difference-family reports, pinned when make_rep stopped checking a rescaled
+# copy of the cleared table: against the earlier bytes, the rep reports lost
+# only their rescaled-check notes and A10's report changed only its labels
+DIFFERENCE_TABLE_DIGESTS = {
+    ("rep", "verify", "--algebra", "sl2q", "--n", "4", "--q", "3"):
+        "dc11db9a44b4aa01d540e032b7529fcc014b165a1fcf10ccb9d5097e7e6e377a",
+    ("rep", "verify", "--algebra", "sl2q", "--n", "3", "--q", "1"):
+        "6abe02ece16d822e165b16a08e857d7b453234a1a50d95035e4903b2e8ef4db2",
+    ("identity", "--id", "A10", "--n", "2", "--q", "3/2"):
+        "3214d26e4b4add773aa80175082ab4333bf88379b01857a3db5ba30423a4a024",
+}
+
+
+@pytest.mark.parametrize("argv", list(DIFFERENCE_TABLE_DIGESTS), ids=lambda argv: argv[-1])
+def test_difference_table_report_digests_pinned(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    path = tmp_path / "report.json"
+    assert run_command(list(argv) + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIFFERENCE_TABLE_DIGESTS[argv]
 
 
 # superalgebra reports, pinned the same way; the classify fixture holds

@@ -13,9 +13,10 @@ from qeslab.enveloping import (ElementAction, burnside_span_rank, coefficient_sh
                                verify_relations, word_is_exact,
                                words_up_to_degree)
 from qeslab.operators import LinOperator, MatrixOperator, OpContext
-from qeslab.reps import RepSpec, _evaluate_relation, make_rep, to_matrix_rep
+from qeslab.poly import Poly
+from qeslab.reps import RepSpec, make_rep, to_matrix_rep
 from qeslab.scalars import ONE, QParam, Scalar
-from qeslab.spaces import SpaceSpec, action_matrix, enumerate_basis, flag_actions
+from qeslab.spaces import SpaceSpec, action_matrix, flag_actions
 
 
 def test_expand_examples():
@@ -105,8 +106,8 @@ def test_relation_tables_are_built_at_the_mark(spec):
     rels = relation_table(spec)
     here = make_rep(spec)
     shifted = make_rep(replace(spec, n=spec.n + ONE))
-    assert all(_evaluate_relation(rel, here.word_op).is_zero() for rel in rels)
-    assert any(not _evaluate_relation(rel, shifted.word_op).is_zero() for rel in rels)
+    assert all(expand(rel.expr, here).is_zero() for rel in rels)
+    assert any(not expand(rel.expr, shifted).is_zero() for rel in rels)
 
 
 def test_difference_relation_table_at_a_fractional_mark():
@@ -115,7 +116,7 @@ def test_difference_relation_table_at_a_fractional_mark():
     spec = RepSpec("sl2q", n=Scalar(Fraction(5, 2)), q=QParam(4), qn=Scalar(32))
     gens = make_rep(spec)
     for rel in relation_table(spec):
-        assert _evaluate_relation(rel, gens.word_op).is_zero(), rel.label
+        assert expand(rel.expr, gens).is_zero(), rel.label
 
 
 def test_relation_suite_taxonomy():
@@ -263,6 +264,16 @@ def _module_cover(spec: RepSpec) -> SpaceSpec:
             "gl2_semi": SpaceSpec("wedge", (spec.r, n + 1))}[spec.algebra]
 
 
+def _basis_monomials(space, ctx):
+    """The space's basis monomials over the context, odd labels at theta."""
+    monos = []
+    for exp, odd in space.labels():
+        powers = dict(zip(space.vars + ("theta",) * odd, exp + (odd,)))
+        e = tuple(powers.get(v, 0) for v in ctx.all_vars)
+        monos.append(Poly.monomial(ctx.all_vars, e, 1, ctx.nil))
+    return monos
+
+
 @pytest.mark.parametrize("family", CASE_FAMILIES, ids=lambda s: s.algebra)
 def test_walk_is_the_expanded_action(family):
     # every word of degree <= 2, in every name order, at two marks: the walk
@@ -272,7 +283,7 @@ def test_walk_is_the_expanded_action(family):
         spec = replace(family, n=Scalar(n), m=Scalar(m))
         gens = make_rep(spec)
         space = _module_cover(spec)
-        monos = enumerate_basis(space, gens.ctx)
+        monos = _basis_monomials(space, gens.ctx)
         words = [w for k in range(3) for w in product(gens.names, repeat=k)]
         for word in words:
             walk = ElementAction(gens, {word: ONE})

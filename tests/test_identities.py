@@ -8,7 +8,9 @@ import pytest
 from qeslab.freealg import (TWO_PAIR, RewriteBudgetError, expr, expr_mul,
                             expr_pow, heisenberg_system, normal_order,
                             q_heisenberg_system, quantum_plane_system)
-from qeslab.identities import verify_A7, verify_identity
+from qeslab import identities
+from qeslab.identities import verify_A3, verify_A6, verify_A7, verify_A10, verify_identity
+from qeslab.reps import Relation, make_rep
 from qeslab.scalars import QParam, Scalar, qbinomial
 
 
@@ -80,6 +82,34 @@ def test_a6_abstract_multinomial():
     for k in (2, 3):
         for n in range(4 if k == 2 else 3):
             assert verify_identity("A6", n=n, k=k)["ok"]
+
+
+def test_a6_single_pair_is_a2():
+    # one pair is named Q, P by the rewrite system, not Q1, P1
+    for n in range(4):
+        assert verify_A6(1, n)["ok"], n
+
+
+@pytest.mark.parametrize("algebra,check", [
+    ("sl2", lambda: verify_A3([2])),
+    ("sl2q", lambda: verify_A10(2, 2)),
+], ids=["A3", "A10"])
+def test_embeddings_read_the_family_tables(algebra, check, monkeypatch):
+    # a false relation appended to the family's own structure table shows
+    # up in the embedding check: A3 and A10 keep no copy of the tables
+    assert check()["ok"]
+    false = Relation.of("J0=0", [(1, ("J0",))])
+
+    def with_false_relation(spec):
+        gens = make_rep(spec)
+        if spec.algebra == algebra:
+            gens.structure = gens.structure + [false]
+        return gens
+
+    monkeypatch.setattr(identities, "make_rep", with_false_relation)
+    rep = check()
+    assert not rep["ok"]
+    assert [c["relation"] for c in rep["cases"] if not c["ok"]] == ["J0=0"]
 
 
 # sha256 of the JSON list of remainder_terms over r = 1..4, n = 0..4, taken

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from qeslab import reps
 from qeslab.operators import LinOperator, commutator, compose
-from qeslab.reps import (ALGEBRAS, MultiTermStepError, RepSpec, make_rep,
+from qeslab.reps import (ALGEBRAS, MultiTermStepError, RepSpec, make_rep, sl2q_constants,
                          root_of_unity_generators, to_matrix_rep, verify_structure)
-from qeslab.scalars import DegenerateQError, QParam, Scalar
+from qeslab.scalars import ONE, DegenerateQError, QParam, Scalar
 
 
 def test_sl2_generators_explicit():
@@ -66,14 +67,31 @@ def test_structure_deformed(q):
         assert rep["ok"]
 
 
-def test_sl2q_rescaled_vs_cleared_reporting():
-    g_even = make_rep(RepSpec("sl2q", n=Scalar(4), q=QParam(3)))
-    assert any("rescaled form verified" in note for note in g_even.notes)
-    g_odd = make_rep(RepSpec("sl2q", n=Scalar(3), q=QParam(3)))
-    assert any("skipped" in note for note in g_odd.notes)
-    # perfect-square deformation keeps odd marks rational too
-    g_sq = make_rep(RepSpec("sl2q", n=Scalar(3), q=QParam(4)))
-    assert any("rescaled form verified" in note for note in g_sq.notes)
+def test_sl2q_rescaled_table_is_the_cleared_one():
+    # the rescaled basis j+- = J+-/s (s^2 = t = b**n), j0 = c0 J0 turns the
+    # cleared table into q j0j- - j-j0 = -j-, q^2 j+j- - j-j+ = -(q+1) j0 and
+    # j0j+ - q j+j0 = j+ exactly when kappa c0 = 1 and c0 (b+1) t = lambda:
+    # one c0 must serve all three relations
+    for q in (2, 3, 4, Fraction(3, 2), Fraction(1, 4), -2):
+        b = QParam(q).b
+        if b == Scalar(-1):
+            continue
+        for n in range(9):
+            _, _, _, kappa, lam = sl2q_constants(RepSpec("sl2q", n=Scalar(n), q=QParam(q)))
+            t = b ** n
+            c0 = lam / ((b + ONE) * t)
+            assert kappa * c0 == ONE, (q, n)
+            assert c0 * (b + ONE) * t == lam, (q, n)
+
+
+def test_make_rep_verifies_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_rep evaluated a relation")
+
+    monkeypatch.setattr(reps, "evaluate_element", refuse)
+    gens = make_rep(RepSpec("sl2q", n=Scalar(4), q=QParam(3)))
+    assert [rel.form for rel in gens.structure] == ["cleared"] * 3
+    assert gens.notes == []
 
 
 def test_sl2q_degenerate_mark():

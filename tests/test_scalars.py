@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qeslab.scalars import DegenerateQError, QParam, Scalar, nhat, qbinomial, qnumber
+from qeslab.reps import RepSpec, sl2q_constants
+from qeslab.scalars import DegenerateQError, QParam, Scalar, qbinomial, qnumber
 
 
 def test_basic_arithmetic():
@@ -41,6 +42,9 @@ def test_qnumber_recursion():
 
 
 def test_nhat_examples():
+    def nhat(n, q):
+        return sl2q_constants(RepSpec("sl2q", n=Scalar(n), q=q))[2]
+
     assert nhat(1, QParam(1)) == Scalar(Fraction(1, 2))        # n/2 at base 1
     assert nhat(2, QParam(2)) == Scalar(Fraction(1, 3))        # 3*7/63
     with pytest.raises(DegenerateQError):

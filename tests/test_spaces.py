@@ -9,7 +9,7 @@ from qeslab.poly import Poly
 from qeslab.reps import RepSpec, make_rep, root_of_unity_generators
 from qeslab.scalars import ONE, QParam, Scalar
 from qeslab.spaces import (DimensionMismatchError, SpaceSpec, action_matrix,
-                           dimension, enumerate_basis, flag_preserves,
+                           dimension, flag_preserves,
                            parse_space, preserves)
 
 
@@ -96,6 +96,23 @@ def test_root_of_unity_flag():
         flag = [SpaceSpec("interval", (n,)), SpaceSpec("interval", (2 * n,)),
                 SpaceSpec("interval", (3 * n,))]
         assert flag_preserves(op, flag)
+
+
+def test_flag_preserves_acts_once_per_monomial(monkeypatch):
+    # one flag_actions pass: the 3 + 5 + 7 basis monomials of the three
+    # members are 7 distinct monomials, each acted on once
+    op = make_rep(RepSpec("sl2", n=Scalar(6))).word_op(("J0", "J-"))
+    seen = []
+    apply_monomial = LinOperator.apply_monomial
+
+    def counted(self, e):
+        seen.append(e)
+        return apply_monomial(self, e)
+
+    monkeypatch.setattr(LinOperator, "apply_monomial", counted)
+    flag = [SpaceSpec("interval", (k,)) for k in (2, 4, 6)]
+    assert flag_preserves(op, flag)
+    assert len(seen) == len(set(seen)) == 7
 
 
 def test_flag_requires_strict_increase():
