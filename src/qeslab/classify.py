@@ -5,6 +5,11 @@ The second-order operator families are parameterized by named coefficients
 catalogue (data/cases.json) stores each rule's linear predicate and concluded
 invariant spaces as data; match_cases instantiates free integer parameters,
 and verify_case proves each instantiated rule before it samples anything.
+An instance's equation rows and concluded targets are each read from one
+parameter environment (_param_env), with flag and forall indices bound into
+copies of it.  A concluded target is a list of rows (space, cap): a space is
+its one row with cap None, and an unbounded-even spinor conclusion is its two
+rows spin(N, M), each capped at the even degree N+2 its images may reach.
 
 The certificate.  A rule's predicate is linear in the coefficients, so its
 satisfying assignments are the span of a nullspace basis.  Expansion to an
@@ -16,12 +21,12 @@ instance ("certified": true).  requires_nonzero only removes assignments, so
 it cannot break the certificate; that it leaves some assignment is checked
 exactly on the basis.  The certificate covers the concluded spaces as
 instantiated: the flag, sequence and family conclusions up to FLAG_PREFIX
-members, and for an unbounded-even spinor conclusion only the two rows
-spin(N, M) -> spin(N+2, M) that target_escapes reads, not every N.  Only an
-uncertified rule draws its seeded trials, which supply the counterexample
-witnesses.  target_escapes is the one escape check: the certificate, the
-trials and the classify command all go through it, with elements that act by
-generator walks (enveloping.ElementAction), so the oracle expands no operator.
+members, and for an unbounded-even spinor conclusion only its two rows, not
+every N.  Only an uncertified rule draws its seeded trials, which supply the
+counterexample witnesses.  target_escapes is the one escape check: the
+certificate, the trials and the classify command all go through it, with
+elements that act by generator walks (enveloping.ElementAction), so the
+oracle expands no operator.
 
 The J-sign note from the enveloping module applies here too: the catalogue's
 coefficients multiply products of generators in the printed order, with the
@@ -30,6 +35,7 @@ superalgebra's central generator carrying the body-convention sign.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field, replace
@@ -38,14 +44,14 @@ from functools import lru_cache
 from importlib import resources
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .enveloping import (ElementAction, body_signed, expand, flatten_ops, grading,
+from .enveloping import (ElementAction, body_signed, expand, free_parameters, grading,
                          word_is_exact)
 from .freealg import FreeExpr, Word
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .operators import LinOperator
 from .reps import GeneratorSet, RepSpec, make_rep, sl2q_constants
 from .scalars import ONE, QParam, Scalar, ZERO, qnumber
-from .spaces import SpaceSpec, flag_actions
+from .spaces import Escape, SpaceSpec, flag_actions
 
 # members of a flag, sequence or family conclusion that the oracle checks
 FLAG_PREFIX = 5
@@ -171,10 +177,10 @@ class ClassReport:
                 "confirmed_spaces": self.confirmed_spaces}
 
 
-def classify_grading(assignment: CoeffAssignment, gens: GeneratorSet | None = None) -> ClassReport:
+def classify_grading(assignment: CoeffAssignment) -> ClassReport:
     """Exact-solvability verdict word by word, per the family's grading rule."""
     spec = assignment.spec
-    gens = gens or make_rep(spec)
+    gens = make_rep(spec)
     positive: List[str] = []
     all_exact = True
     subkind_names = {"sl2xsl2": ("x", "y", "total")}.get(spec.algebra, ())
@@ -210,20 +216,9 @@ def classify_grading(assignment: CoeffAssignment, gens: GeneratorSet | None = No
 # catalogue loading and predicate evaluation
 
 @lru_cache(maxsize=None)
-def _catalogue() -> dict:
-    """data/cases.json, parsed once per process.  It is shared, so only
-    copies of it leave this module."""
-    with resources.files("qeslab.data").joinpath("cases.json").open() as fh:
-        return json.load(fh)
-
-
-def _copy(data, old: str, new: str):
-    """Deep copy of parsed JSON, with old replaced by new in every string."""
-    if isinstance(data, dict):
-        return {_copy(k, old, new): _copy(v, old, new) for k, v in data.items()}
-    if isinstance(data, list):
-        return [_copy(v, old, new) for v in data]
-    return data.replace(old, new) if isinstance(data, str) else data
+def _catalogue() -> str:
+    """The text of data/cases.json, read once per process."""
+    return resources.files("qeslab.data").joinpath("cases.json").read_text()
 
 
 @dataclass
@@ -259,8 +254,9 @@ def rules_for(spec: RepSpec) -> List[CaseRule]:
     """Fresh rules of one family: callers may change them freely.  The
     semidirect family's top ideal coefficient c_4.R is named for its width."""
     top = f"c_4.{5 + spec.r}" if spec.algebra == "gl2_semi" else "c_4.R"
-    return [CaseRule.from_json(spec.algebra, _copy(data, "c_4.R", top))
-            for data in _catalogue()["catalogues"].get(spec.algebra, [])]
+    data = json.loads(_catalogue().replace("c_4.R", top))
+    return [CaseRule.from_json(spec.algebra, rule)
+            for rule in data["catalogues"].get(spec.algebra, [])]
 
 
 def _affine(expr: Dict[str, str], env: Dict[str, Scalar]) -> Scalar:
@@ -271,18 +267,13 @@ def _affine(expr: Dict[str, str], env: Dict[str, Scalar]) -> Scalar:
     return out
 
 
-def _param_env(spec: RepSpec, params: Dict[str, object],
-               index: Optional[Tuple[str, int]] = None) -> Dict[str, Scalar]:
+def _param_env(spec: RepSpec, params: Dict[str, object]) -> Dict[str, Scalar]:
     env: Dict[str, Scalar] = {"1": ONE, "r": Scalar(spec.r)}
     for key in ("n", "m", "k", "N"):
         if key in params:
             env[key] = Scalar.of(params[key])
     if "n" in params:
         env["n/r"] = Scalar.of(params["n"]) / Scalar(spec.r)
-    if index is not None:
-        name, val = index
-        env[name] = Scalar(val)
-        env[f"{name}*r"] = Scalar(val * spec.r)
     if spec.algebra == "sl2q" and "m" in params:
         mm = Scalar.of(params["m"])
         if spec.q.b == ONE:
@@ -295,28 +286,35 @@ def _param_env(spec: RepSpec, params: Dict[str, object],
     return env
 
 
-def _equation_rows(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
+def _bind(env: Dict[str, Scalar], spec: RepSpec, **index: int) -> Dict[str, Scalar]:
+    """A copy of env with each index bound, along with its name*r token."""
+    out = dict(env)
+    for name, val in index.items():
+        out[name] = Scalar(val)
+        out[f"{name}*r"] = Scalar(val * spec.r)
+    return out
+
+
+def _equation_rows(rule: CaseRule, spec: RepSpec, env: Dict[str, Scalar],
                    names: Sequence[str]) -> List[List[Scalar]]:
     """Instantiated linear forms (one row per scalar equation) over names."""
     rows = []
     idx = {nm: i for i, nm in enumerate(names)}
     for eq in rule.equations:
         if eq["forall"] is None:
-            instances = [None]
+            envs = [env]
         else:
             last_expr = eq["forall"]["last"]
-            env0 = _param_env(spec, params)
             if "N_div_r" in last_expr:
-                last = int(Scalar.of(params["N"]).re) // spec.r
-                last = last * Fraction(last_expr["N_div_r"])
+                last = int(env["N"].re) // spec.r * Fraction(last_expr["N_div_r"])
             else:
-                last = _affine(last_expr, env0).re
-            instances = [(eq["forall"]["index"], j) for j in range(int(last) + 1)]
-        for inst in instances:
-            env = _param_env(spec, params, inst)
+                last = _affine(last_expr, env).re
+            envs = [_bind(env, spec, **{eq["forall"]["index"]: j})
+                    for j in range(int(last) + 1)]
+        for inst in envs:
             row = [ZERO] * len(names)
             for cname, expr in eq["terms"]:
-                row[idx[cname]] = row[idx[cname]] + _affine(expr, env)
+                row[idx[cname]] = row[idx[cname]] + _affine(expr, inst)
             rows.append(row)
     for cname in rule.requires_zero:
         row = [ZERO] * len(names)
@@ -325,55 +323,51 @@ def _equation_rows(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
     return rows
 
 
-def _space_from_conclusion(con: dict, spec: RepSpec, params: Dict[str, object],
-                           extra: Dict[str, int] | None = None) -> Optional[SpaceSpec]:
-    env = _param_env(spec, params)
-    for key, val in (extra or {}).items():
-        env[key] = Scalar(val)
-    vals = []
-    for p_expr in con["p"]:
-        v = _affine(p_expr, env).re
-        if v.denominator != 1:
-            return None
-        vals.append(int(v))
+def _space(con: dict, env: Dict[str, Scalar]) -> Optional[SpaceSpec]:
+    vals = [_affine(p_expr, env).re for p_expr in con["p"]]
+    if any(v.denominator != 1 for v in vals):
+        return None
     try:
-        return SpaceSpec(con.get("family", con["kind"]), tuple(vals))
+        return SpaceSpec(con.get("family", con["kind"]), tuple(int(v) for v in vals))
     except ValueError:  # parameters out of the space's range at this instance
         return None
 
 
+Target = Tuple[str, List[Tuple[SpaceSpec, Optional[int]]]]
+
+
 def conclusion_spaces(rule: CaseRule, spec: RepSpec,
-                      params: Dict[str, object]) -> List[Tuple[str, object]]:
-    """Concrete (description, SpaceSpec or check-tag) list for one instance."""
-    out: List[Tuple[str, object]] = []
+                      params: Dict[str, object]) -> List[Target]:
+    """The concluded targets of one instance, as (description, rows), each row
+    a (SpaceSpec, cap).  A space is the one row (space, None).  An
+    unbounded-even spinor conclusion is its two rows spin(N, M), each with
+    the even degree N+2 its images may reach as cap."""
+    env = _param_env(spec, params)
+    out: List[Target] = []
     for con in rule.conclusions:
         kind = con["kind"]
-        if kind in ("interval", "spinor", "triangle", "rectangle", "wedge"):
-            s = _space_from_conclusion(con, spec, params)
-            if s is not None:
-                out.append((str(s), s))
-        elif kind == "flag":
-            for i in range(FLAG_PREFIX):
-                s = _space_from_conclusion(con, spec, params, {con["index"]: i})
-                if s is not None:
-                    out.append((f"{s} (flag member {i})", s))
+        if kind == "spinor_unbounded_even":
+            M = int(_affine(con["p"][0], env).re)
+            top = max(int(env["n"].re), M)
+            out.append((f"unbounded-even spinor rows M={M}",
+                        [(SpaceSpec("spinor", (N, M)), N + 2) for N in (top + 3, top + 5)]))
+            continue
+        # (description suffix, index bindings) of each checked member
+        if kind == "flag":
+            members = [(f" (flag member {i})", {con["index"]: i}) for i in range(FLAG_PREFIX)]
         elif kind == "sequence":
-            env = _param_env(spec, params)
-            last = int(_affine(con["last"], env).re)
-            for i in range(min(last, FLAG_PREFIX - 1) + 1):
-                s = _space_from_conclusion(con, spec, params, {con["index"]: i})
-                if s is not None:
-                    out.append((f"{s} (sequence member {i})", s))
+            last = min(int(_affine(con["last"], env).re), FLAG_PREFIX - 1)
+            members = [(f" (sequence member {i})", {con["index"]: i}) for i in range(last + 1)]
         elif kind == "flag2":
             i1, i2 = con["indices"]
-            for a in range(FLAG_PREFIX - 2):
-                for b in range(FLAG_PREFIX - 2 - a):
-                    s = _space_from_conclusion(con, spec, params, {i1: a, i2: b})
-                    if s is not None:
-                        out.append((f"{s} (family member {a},{b})", s))
-        elif kind == "spinor_unbounded_even":
-            out.append((f"unbounded-even spinor rows M={_even_mark(con, spec, params)}",
-                        ("unbounded_even", con)))
+            members = [(f" (family member {a},{b})", {i1: a, i2: b})
+                       for a in range(FLAG_PREFIX - 2) for b in range(FLAG_PREFIX - 2 - a)]
+        else:
+            members = [("", {})]
+        for suffix, index in members:
+            s = _space(con, _bind(env, spec, **index))
+            if s is not None:
+                out.append((f"{s}{suffix}", [(s, None)]))
     return out
 
 
@@ -394,21 +388,12 @@ def match_cases(assignment: CoeffAssignment, bound: int = 12) -> List[dict]:
             if hit is not None:
                 matches.append(hit)
             continue
-        base = {"n": spec.n, "m": spec.m}
-        combos: List[Dict[str, object]] = [dict(base)]
-        for fp in rule.free:
-            new = []
-            for combo in combos:
-                for v in range(bound + 1):
-                    c2 = dict(combo)
-                    c2[fp] = v
-                    new.append(c2)
-            combos = new
-        for params in combos:
-            if not _free_in_range(rule, spec, params):
+        for values in itertools.product(range(bound + 1), repeat=len(rule.free)):
+            params: Dict[str, object] = {"n": spec.n, "m": spec.m, **dict(zip(rule.free, values))}
+            env = _param_env(spec, params)
+            if any(params[fp] > _affine(expr, env).re for fp, expr in rule.free_max.items()):
                 continue
-            rows = _equation_rows(rule, spec, params, names)
-            if all(_dot(row, vec).is_zero() for row in rows):
+            if all(_dot(row, vec).is_zero() for row in _equation_rows(rule, spec, env, names)):
                 matches.append({
                     "id": rule.id,
                     "params": {k: str(Scalar.of(v)) for k, v in params.items()
@@ -417,15 +402,6 @@ def match_cases(assignment: CoeffAssignment, bound: int = 12) -> List[dict]:
                                     conclusion_spaces(rule, spec, params)],
                 })
     return matches
-
-
-def _free_in_range(rule: CaseRule, spec: RepSpec, params: Dict[str, object]) -> bool:
-    for fp, expr in rule.free_max.items():
-        env = _param_env(spec, params)
-        hi = _affine(expr, env).re
-        if Fraction(params[fp]) > hi:
-            return False
-    return True
 
 
 def _dot(row: Sequence[Scalar], vec: Sequence[Scalar]) -> Scalar:
@@ -471,7 +447,7 @@ def _predicate_basis(rule: CaseRule, spec: RepSpec,
     """The family's coefficient names and a basis of the rule's instantiated
     predicate: every satisfying assignment is a combination of its vectors."""
     names = sorted(coefficient_words(spec))
-    rows = _equation_rows(rule, spec, params, names)
+    rows = _equation_rows(rule, spec, _param_env(spec, params), names)
     return names, nullspace(rows, ncols=len(names))
 
 
@@ -521,41 +497,30 @@ def case_jobs(rng: random.Random) -> Iterator[Tuple[RepSpec, CaseRule, Dict[str,
                 yield spec, rule, params, t
 
 
-def _even_mark(con: dict, spec: RepSpec, params: Dict[str, object]) -> int:
-    """The odd-row mark M of an unbounded-even spinor conclusion."""
-    return int(_affine(con["p"][0], _param_env(spec, params)).re)
-
-
-def _even_rows(con: dict, spec: RepSpec,
-               params: Dict[str, object]) -> List[Tuple[SpaceSpec, int]]:
-    """The two rows spin(N, M) of an unbounded-even spinor conclusion, each
-    with the even degree N+2 its images may reach."""
-    M = _even_mark(con, spec, params)
-    top = max(int(Scalar.of(params["n"]).re), M)
-    return [(SpaceSpec("spinor", (N, M)), N + 2) for N in (top + 3, top + 5)]
-
-
-def target_escapes(op: LinOperator | ElementAction, targets: Sequence[Tuple[str, object]],
-                   spec: RepSpec, params: Dict[str, object]) -> Iterator[Tuple[str, str]]:
+def target_escapes(op: LinOperator | ElementAction,
+                   targets: Sequence[Target]) -> Iterator[Tuple[str, str]]:
     """(description, witness) for each target op does not preserve, in target
-    order, from one flag_actions call over every concluded space.  A space's
-    witness is its first escape.  An unbounded-even conclusion holds when the
-    images of its rows have no odd-row term and no even degree above N+2."""
-    rows = [[(t, None)] if isinstance(t, SpaceSpec) else _even_rows(t[1], spec, params)
-            for _, t in targets]
-    results = flag_actions(op, [s for group in rows for s, _ in group])
-    for (desc, target), group in zip(targets, rows):
-        found = [(next(results).escapes, cap) for _, cap in group]
-        if isinstance(target, SpaceSpec):
-            escapes = found[0][0]
-            if escapes:
-                esc = escapes[0]
-                yield desc, f"{esc.source} -> {esc.monomial} (coeff {esc.coeff})"
-            continue
-        x = op.ctx.all_vars.index("x")
-        if any(sum(e.monomial) != e.monomial[x] or e.monomial[x] > cap
-               for escapes, cap in found for e in escapes):
-            yield desc, "odd-row overflow"
+    order, from one flag_actions call over the rows of every target.  A space
+    (cap None) escapes with its first escape as witness.  A capped spinor row
+    holds when its images have no odd-row term and no even degree above cap."""
+    results = flag_actions(op, [s for _, rows in targets for s, _ in rows])
+    for desc, rows in targets:
+        witnesses = [w for _, cap in rows
+                     if (w := _witness(op, next(results).escapes, cap)) is not None]
+        if witnesses:
+            yield desc, witnesses[0]
+
+
+def _witness(op, escapes: Sequence[Escape], cap: Optional[int]) -> Optional[str]:
+    """One row's witness, None when the row holds."""
+    if not escapes:
+        return None
+    if cap is None:
+        return "{0.source} -> {0.monomial} (coeff {0.coeff})".format(escapes[0])
+    x = op.ctx.all_vars.index("x")
+    if any(sum(e.monomial) != e.monomial[x] or e.monomial[x] > cap for e in escapes):
+        return "odd-row overflow"
+    return None
 
 
 # the oracle's generators per spec, so that its jobs at a spec share one step memo
@@ -576,8 +541,8 @@ def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
     if any(all(v[names.index(nm)].is_zero() for v in basis) for nm in rule.requires_nonzero):
         raise RuntimeError(f"could not sample a nondegenerate assignment for {rule.id}")
     elements = (CoeffAssignment(spec, dict(zip(names, v))).element() for v in basis)
-    certified = all(next(target_escapes(ElementAction(gens, e), targets, spec, params), None)
-                    is None for e in elements)
+    certified = all(next(target_escapes(ElementAction(gens, e), targets), None) is None
+                    for e in elements)
     counterexamples = []
     for t in range(0 if certified else trials):
         rng = random.Random((seed, rule.id, str(params), t).__str__())
@@ -585,7 +550,7 @@ def verify_case(rule: CaseRule, spec: RepSpec, params: Dict[str, object],
         counterexamples += [{"trial": t, "space": desc, "witness": witness,
                              "assignment": asg.to_json()}
                             for desc, witness in target_escapes(
-                                ElementAction(gens, asg.element()), targets, spec, params)]
+                                ElementAction(gens, asg.element()), targets)]
     return {"rule": rule.id, "algebra": spec.algebra,
             "params": {k: str(Scalar.of(v)) for k, v in params.items()},
             "trials": trials, "targets": [d for d, _ in targets],
@@ -599,11 +564,8 @@ def constrained_param_count(rule: CaseRule, spec: RepSpec,
     """Exact dimension of the operator family cut out by a rule's predicate."""
     names, basis = _predicate_basis(rule, spec, params)
     gens = make_rep(spec)
-    r = rank(flatten_ops([CoeffAssignment(spec, dict(zip(names, v))).operator(gens)
-                          for v in basis]))
-    if spec.algebra == "sl2q":
-        r += 1
-    return r
+    return free_parameters(spec, [CoeffAssignment(spec, dict(zip(names, v))).operator(gens)
+                                  for v in basis])
 
 
 def find_rule(spec: RepSpec, rule_id: str) -> CaseRule:

@@ -211,9 +211,9 @@ def cmd_classify(args) -> int:
         rule = find_rule(spec, m["id"])
         params = {"n": spec.n, "m": spec.m}
         params.update({k: Fraction(v) for k, v in m["params"].items()})
-        spaces = [(d, t) for d, t in conclusion_spaces(rule, spec, params)
-                  if isinstance(t, SpaceSpec)]
-        escaped = {d for d, _ in target_escapes(op, spaces, spec, params)}
+        spaces = [(d, rows) for d, rows in conclusion_spaces(rule, spec, params)
+                  if all(cap is None for _, cap in rows)]
+        escaped = {d for d, _ in target_escapes(op, spaces)}
         confirmed += [d for d, _ in spaces if d not in escaped]
     report.matched_rules = matches
     report.confirmed_spaces = sorted(set(confirmed))

@@ -152,6 +152,12 @@ def span_rank(ops: Sequence[LinOperator]) -> int:
     return rank(flatten_ops([op for op in ops if not op.is_zero()]))
 
 
+def free_parameters(spec: RepSpec, ops: Sequence[LinOperator]) -> int:
+    """Dimension of an operator family spanned by ops; the difference family's
+    deformation parameter counts as one more."""
+    return span_rank(ops) + (spec.algebra == "sl2q")
+
+
 # --------------------------------------------------------------------------
 # exact-solvability word filters
 
@@ -244,9 +250,7 @@ def param_count(spec: RepSpec, k: int, variant: str = "quasi",
             v = {"exact": "total", "exact_x": "x", "exact_y": "y"}[variant]
             words = [w for w in words if word_is_exact(w, gens, v)]
         ops = [expand_word(gens, w) for w in words]
-    r = span_rank(ops)
-    if spec.algebra == "sl2q":
-        r += 1    # the deformation parameter itself counts as free
+    r = free_parameters(spec, ops)
     paper = paper_count(spec.algebra, k, variant, matrix_form, spec.r)
     return {"algebra": spec.algebra, "k": k, "variant": variant,
             "matrix_form": matrix_form, "rank": r, "paper": paper,
@@ -415,16 +419,14 @@ def relation_table(spec: RepSpec) -> List[Relation]:
     return [replace(rel, expr=body_signed(spec.algebra, rel.expr)) for rel in table(spec)]
 
 
-def verify_relations(spec: RepSpec, n_values: Sequence[Scalar] | None = None,
-                     seed: int = 0) -> dict:
+def verify_relations(spec: RepSpec, seed: int = 0) -> dict:
     """Expand LHS - RHS of every catalogued relation at several marks."""
     rng = random.Random(seed)
-    if n_values is None:
-        if spec.algebra == "sl2q":
-            n_values = [Scalar(rng.randint(1, 9)) for _ in range(3)]
-        else:
-            n_values = [Scalar(Fraction(rng.randint(-12, 24), rng.choice([1, 2, 3, 5])))
-                        for _ in range(3)]
+    if spec.algebra == "sl2q":
+        n_values = [Scalar(rng.randint(1, 9)) for _ in range(3)]
+    else:
+        n_values = [Scalar(Fraction(rng.randint(-12, 24), rng.choice([1, 2, 3, 5])))
+                    for _ in range(3)]
     rows = []
     for n in n_values:
         m = Scalar(Fraction(rng.randint(-12, 24), rng.choice([1, 2, 3])))

@@ -67,14 +67,14 @@ def verify_A1(n: int) -> dict:
 
 
 def verify_A2(n_values: Sequence[ScalarLike] = (0, 1, 2, 3, 4)) -> dict:
-    """Abstract form over [P,Q] = 1; integer powers need integer n, but the
-    bracket identity is sampled at the given marks."""
+    """Abstract form over [P,Q] = 1 at each given mark, which must be a
+    non-negative integer n: the identity raises J+ to the power n+1."""
     rs = heisenberg_system()
     results = []
     for n in n_values:
         n = Scalar.of(n)
         if not (n.is_rational() and n.re.denominator == 1 and n.re >= 0):
-            continue
+            raise ValueError(f"A2 needs a non-negative integer mark, got n={n}")
         k = int(n.re)
         lhs = expr_pow(_jplus(n), k + 1, rs)
         rhs = expr((1, tuple(["Q"] * (2 * k + 2) + ["P"] * (k + 1))))

@@ -203,17 +203,6 @@ def flag_actions(op, flag: Sequence[SpaceSpec]) -> Iterator[ActionResult]:
         yield ActionResult(s, labels, cols, escapes)
 
 
-def preserves(op: LinOperator, s: SpaceSpec) -> bool:
-    return action_matrix(op, s).preserved
-
-
-def flag_preserves(op: LinOperator, flag: Sequence[SpaceSpec]) -> bool:
-    dims = [dimension(s) for s in flag]
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("flag members must strictly increase in dimension")
-    return all(res.preserved for res in flag_actions(op, flag))
-
-
 def parse_space(text: str) -> SpaceSpec:
     """Parse the command-line syntax: int:4, spin:3,2, tri:3, rect:2,3,
     wedge:2,4, simplex:3,2."""

@@ -24,7 +24,7 @@ from qeslab.poly import Poly
 from qeslab.reps import (ALGEBRAS, GeneratorSet, RepSpec, make_rep,
                          root_of_unity_generators, verify_structure)
 from qeslab.scalars import QParam, Scalar
-from qeslab.spaces import SpaceSpec, action_matrix, dimension, flag_preserves
+from qeslab.spaces import SpaceSpec, action_matrix, dimension, flag_actions
 from qeslab.spectral import (build_matrix_example, build_sextic, eigenlaw_check,
                              matrix_example_residuals, schrodinger_residual,
                              sextic_potential, sextic_reduction, spectrum)
@@ -298,9 +298,9 @@ def test_criterion_10_root_of_unity_flag():
                 term = term * gens[name]
             op = op + term.scale(S(rng.randint(-5, 5)))
         base = action_matrix(op, SpaceSpec("interval", (n,)))
-        flag_ok = base.preserved and flag_preserves(
+        flag_ok = base.preserved and all(r.preserved for r in flag_actions(
             op, [SpaceSpec("interval", (n,)), SpaceSpec("interval", (2 * n,)),
-                 SpaceSpec("interval", (3 * n,))])
+                 SpaceSpec("interval", (3 * n,))]))
         ok = ok and flag_ok
     announce(10, ok,
              "root-of-unity deformations (q=-1,n=2 rational; q=i,n=4 gaussian): "

@@ -225,28 +225,48 @@ def test_odd_row_overflow_is_not_certified():
         assert {c["witness"] for c in rep["counterexamples"]} == {"odd-row overflow"}, n
         assert verify_case(rule, spec, params, trials=6, seed=3)["certified"] is True, n
         # the target is described by its instantiated odd-row mark M = n - 1
-        assert [d for d, t in conclusion_spaces(rule, spec, params)
-                if not isinstance(t, SpaceSpec)] == [f"unbounded-even spinor rows M={n - 1}"], n
+        assert [d for d, rows in conclusion_spaces(rule, spec, params)
+                if rows[0][1] is not None] == [f"unbounded-even spinor rows M={n - 1}"], n
 
 
 def test_unbounded_even_rows_bound():
-    # the rows spin(7, 3) and spin(9, 3) at n = 4 may reach even degree N+2,
-    # but no higher, and their odd row may not grow at all
+    # I.1.2b's rows spin(7, 3) and spin(9, 3) at n = 4 may reach even degree
+    # N+2, but no higher, and their odd row may not grow at all
     spec = RepSpec("osp22", n=S(4))
-    con = {"kind": "spinor_unbounded_even", "p": [{"n": "1", "1": "-1"}]}
-    targets = [("rows", ("unbounded_even", con))]
+    targets = conclusion_spaces(find_rule(spec, "I.1.2b"), spec, {"n": spec.n})[1:]
+    rows = [(SpaceSpec("spinor", (7, 3)), 9), (SpaceSpec("spinor", (9, 3)), 11)]
+    assert targets == [("unbounded-even spinor rows M=3", rows)]
     ctx = OpContext(["x"], theta=True)
     theta = ctx.var("theta")
 
     def escapes(op):
-        return list(target_escapes(op, targets, spec, {"n": spec.n}))
+        return [w for _, w in target_escapes(op, targets)]
 
     def even_only(p):          # x^p on the even row, zero on the odd one
         return LinOperator(ctx, {(0, 0): ctx.var("x", p), (0, 1): ctx.const(-1) * ctx.var("x", p) * theta})
 
     assert escapes(even_only(2)) == []
-    assert escapes(even_only(3)) == [("rows", "odd-row overflow")]
-    assert escapes(LinOperator.mult(ctx, ctx.var("x"))) == [("rows", "odd-row overflow")]
+    assert escapes(even_only(3)) == ["odd-row overflow"]
+    assert escapes(LinOperator.mult(ctx, ctx.var("x"))) == ["odd-row overflow"]
+
+
+def test_one_parameter_environment_per_instance(monkeypatch):
+    # the equation rows and the concluded spaces of an instance (flag members
+    # and unbounded-even rows included) come from one environment each
+    built = []
+    param_env = classify._param_env
+
+    def counted(spec, params):
+        built.append(params)
+        return param_env(spec, params)
+
+    monkeypatch.setattr(classify, "_param_env", counted)
+    spec = RepSpec("osp22", n=S(6))
+    for rid, params in (("I.1.2b", {"n": spec.n, "m": Fraction(7, 2)}),
+                        ("I.1.3", {"n": spec.n})):
+        built.clear()
+        rep = verify_case(find_rule(spec, rid), spec, params, trials=1)
+        assert rep["certified"] is True and len(built) <= 2, (rid, len(built))
 
 
 def test_vacuous_rule_raises():
@@ -311,8 +331,8 @@ def _reference_witnesses(rule, spec, params, trials, seed):
     for t in range(trials):
         rng = random.Random((seed, rule.id, str(params), t).__str__())
         op = sample_assignment(rule, spec, params, rng).operator(gens)
-        for desc, target in conclusion_spaces(rule, spec, params):
-            res = action_matrix(op, target)
+        for desc, [(space, _)] in conclusion_spaces(rule, spec, params):
+            res = action_matrix(op, space)
             if not res.preserved:
                 esc = res.escapes[0]
                 out.append((t, desc, f"{esc.source} -> {esc.monomial} (coeff {esc.coeff})"))

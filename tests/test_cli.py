@@ -259,6 +259,51 @@ def test_difference_report_digests_pinned(argv, tmp_path, monkeypatch):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIFFERENCE_DIGESTS[argv]
 
 
+# match-cases and classify reports, pinned the same way before each rule was
+# instantiated from one parameter environment.  The sl2 fixture matches
+# Lemma1.3 at m = 5.  The n = 7 fixture is sample_assignment of I.3.1 at
+# m = 2 under random.Random(1): it matches I.1.2b at m = -13/2 (a non-integer
+# solve with an unbounded-even conclusion) and I.3.1 within its free_max.
+# The n = 6 fixture matches 19 instances, over flag, flag2 and sequence
+# conclusions and every free k of I.2.2.
+MATCH_FIXTURES = {
+    ("sl2", "4"): {"c_+0": "1", "c_+": "-3", "c_0": "2", "c": "1"},
+    ("osp22", "7"): {"c": "-4/3", "c_+": "-2", "c_+-": "6", "c_+0": "-2", "c_+1": "1/2",
+                     "c_+2": "1/3", "c_-": "-5/2", "c_--": "-3", "c_-J": "6", "c_0": "5/2",
+                     "c_0-": "-2/3", "c_01": "6", "c_0J": "3", "c_1": "-1", "c_2": "-6",
+                     "c_J": "4/3"},
+    ("osp22", "6"): {"c": "-4/3", "c_+-": "6", "c_+1": "-2", "c_+2": "1/2", "c_-": "1/3",
+                     "c_-1": "-5/2", "c_-J": "-3", "c_0-": "6", "c_01": "5/2", "c_0J": "-2/3",
+                     "c_1": "6", "c_2": "3", "c_J": "-1"},
+}
+MATCH_CASES_DIGESTS = {
+    ("match-cases", "sl2", "4"):
+        "62b4511dc71d719be9b25bcc78e277ed54a4fe7bf5606ce60b157c930121e0ae",
+    ("classify", "sl2", "4"):
+        "837910229a94d29f65a002dc185176778d1a2f99f45a8240f84121169c1b75f0",
+    ("match-cases", "osp22", "7"):
+        "21d318b52b9e9b2292fbd209b9b1055b1bb1ee62cbebb7acec9c9c460c68ecc3",
+    ("classify", "osp22", "7"):
+        "96e79653396b74cac6df7431974d03ae99dcf716b3f51bbdf9fa07d49a4db845",
+    ("match-cases", "osp22", "6"):
+        "5d46d29dc07a8ad0564b6bb58d06e8fb66ae9e22fa25a7c08a8e5a5ebc40e01a",
+    ("classify", "osp22", "6"):
+        "eee8392d996f0bdcff6760eb42d8019901aabc625941261ec78509ef3cbd7a28",
+}
+
+
+@pytest.mark.parametrize("key", list(MATCH_CASES_DIGESTS), ids="-".join)
+def test_match_cases_report_digests_pinned(key, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    command, algebra, n = key
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(MATCH_FIXTURES[algebra, n]))
+    path = tmp_path / "report.json"
+    argv = [command, "--algebra", algebra, "--n", n, "--coeffs", str(coeffs)]
+    assert run_command(argv + ["--json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MATCH_CASES_DIGESTS[key]
+
+
 # rank- and charpoly-heavy reports, pinned the same way before the exact
 # kernels moved from Scalar arithmetic onto Python ints; the sl2 operator is
 # not triangular on int:30 and all 32 of its charpoly coefficients are nonzero

@@ -9,7 +9,8 @@ from qeslab.freealg import (TWO_PAIR, RewriteBudgetError, expr, expr_mul,
                             expr_pow, heisenberg_system, normal_order,
                             q_heisenberg_system, quantum_plane_system)
 from qeslab import identities
-from qeslab.identities import verify_A3, verify_A6, verify_A7, verify_A10, verify_identity
+from qeslab.identities import (verify_A2, verify_A3, verify_A6, verify_A7, verify_A10,
+                               verify_identity)
 from qeslab.reps import Relation, make_rep
 from qeslab.scalars import QParam, Scalar, qbinomial
 
@@ -55,6 +56,12 @@ def test_a1_family():
 def test_a2_abstract():
     for n in range(5):
         assert verify_identity("A2", n=n)["ok"]
+
+
+@pytest.mark.parametrize("n", [-3, Fraction(1, 2)], ids=str)
+def test_a2_rejects_a_mark_it_cannot_raise_to(n):
+    with pytest.raises(ValueError, match=f"n={n}$"):
+        verify_A2([n])
 
 
 def test_a3_embedding_sampled_marks():

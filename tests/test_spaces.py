@@ -9,8 +9,7 @@ from qeslab.poly import Poly
 from qeslab.reps import RepSpec, make_rep, root_of_unity_generators
 from qeslab.scalars import ONE, QParam, Scalar
 from qeslab.spaces import (DimensionMismatchError, SpaceSpec, action_matrix,
-                           dimension, flag_preserves,
-                           parse_space, preserves)
+                           dimension, flag_actions, parse_space)
 
 
 def test_dimension_examples():
@@ -67,7 +66,7 @@ def test_degree_two_words_preserve_flag_member():
     rng = random.Random(0)
     words = words_up_to_degree(g, 2)
     poly = {w: Scalar(rng.randint(-5, 5)) for w in words}
-    assert preserves(expand(poly, g), SpaceSpec("interval", (4,)))
+    assert action_matrix(expand(poly, g), SpaceSpec("interval", (4,))).preserved
 
 
 def test_annihilator_tail_preserves_with_zero_matrix():
@@ -95,10 +94,10 @@ def test_root_of_unity_flag():
             op = op + term.scale(Scalar(rng.randint(-5, 5)))
         flag = [SpaceSpec("interval", (n,)), SpaceSpec("interval", (2 * n,)),
                 SpaceSpec("interval", (3 * n,))]
-        assert flag_preserves(op, flag)
+        assert all(r.preserved for r in flag_actions(op, flag))
 
 
-def test_flag_preserves_acts_once_per_monomial(monkeypatch):
+def test_flag_actions_acts_once_per_monomial(monkeypatch):
     # one flag_actions pass: the 3 + 5 + 7 basis monomials of the three
     # members are 7 distinct monomials, each acted on once
     op = make_rep(RepSpec("sl2", n=Scalar(6))).word_op(("J0", "J-"))
@@ -111,15 +110,8 @@ def test_flag_preserves_acts_once_per_monomial(monkeypatch):
 
     monkeypatch.setattr(LinOperator, "apply_monomial", counted)
     flag = [SpaceSpec("interval", (k,)) for k in (2, 4, 6)]
-    assert flag_preserves(op, flag)
+    assert all(r.preserved for r in flag_actions(op, flag))
     assert len(seen) == len(set(seen)) == 7
-
-
-def test_flag_requires_strict_increase():
-    ctx = OpContext(["x"])
-    with pytest.raises(ValueError):
-        flag_preserves(LinOperator.identity(ctx),
-                       [SpaceSpec("interval", (2,)), SpaceSpec("interval", (2,))])
 
 
 def test_simplex_preserved_by_degree_two_words():
@@ -128,7 +120,7 @@ def test_simplex_preserved_by_degree_two_words():
             g = make_rep(RepSpec("so_k1", n=Scalar(n), k=k))
             s = SpaceSpec("simplex", (k, n))
             for w in words_up_to_degree(g, 2):
-                assert preserves(expand({w: ONE}, g), s), w
+                assert action_matrix(expand({w: ONE}, g), s).preserved, w
 
 
 def test_nonflat_rotation_triangle():
@@ -136,7 +128,7 @@ def test_nonflat_rotation_triangle():
         g = make_rep(RepSpec("so3_nonflat", n=Scalar(n)))
         s = SpaceSpec("triangle", (n,))
         for name in g.names:
-            assert preserves(g.op(name), s)
+            assert action_matrix(g.op(name), s).preserved
 
 
 def _two_component_action(op, s):
