@@ -3,8 +3,10 @@
 The second-order operator families are parameterized by named coefficients
 (one per ordered generator pair, plus linear and constant terms).  The case
 catalogue (data/cases.json) stores each rule's linear predicate and concluded
-invariant spaces as data; match_cases instantiates free integer parameters,
-and verify_case proves each instantiated rule before it samples anything.
+invariant spaces as data; match_instances yields each rule instance an
+assignment satisfies, with its targets, which match_cases lists and the
+classify command confirms; verify_case proves each instance it is given
+before it samples anything.
 An instance's equation rows and concluded targets are each read from one
 parameter environment (_param_env), with flag and forall indices bound into
 copies of it.  A concluded target is a list of rows (space, cap): a space is
@@ -38,7 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -157,28 +159,20 @@ class CoeffAssignment:
 
     @classmethod
     def from_json(cls, spec: RepSpec, data: Dict[str, str]) -> "CoeffAssignment":
+        if not isinstance(data, dict):
+            raise ValueError(f"need a JSON object of coefficient strings, got {data!r}")
+        for k, v in data.items():
+            if not isinstance(v, str):
+                raise ValueError(f"coefficient {k!r} needs a string value, got {v!r}")
         return cls(spec, {k: Scalar.parse(v) for k, v in data.items()})
 
 
 # --------------------------------------------------------------------------
 # grading classification
 
-@dataclass
-class ClassReport:
-    kind: str                              # quasi | exact | neither-details
-    positive_words: List[str]
-    subkinds: Dict[str, bool] = field(default_factory=dict)
-    matched_rules: List[dict] = field(default_factory=list)
-    confirmed_spaces: List[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "positive_words": self.positive_words,
-                "subkinds": self.subkinds, "matched_rules": self.matched_rules,
-                "confirmed_spaces": self.confirmed_spaces}
-
-
-def classify_grading(assignment: CoeffAssignment) -> ClassReport:
-    """Exact-solvability verdict word by word, per the family's grading rule."""
+def classify_grading(assignment: CoeffAssignment) -> dict:
+    """Exact-solvability verdict word by word, per the family's grading rule:
+    {"kind": exact | quasi, "positive_words", "subkinds"}."""
     spec = assignment.spec
     gens = make_rep(spec)
     positive: List[str] = []
@@ -201,15 +195,13 @@ def classify_grading(assignment: CoeffAssignment) -> ClassReport:
             if not word_is_exact(word, gens, v):
                 sub[v] = False
     kind = "exact" if all_exact else "quasi"
-    report = ClassReport(kind, positive, sub)
     if spec.algebra == "sl3":
-        report.subkinds["homogeneous_flag"] = zero_total
-        report.subkinds["preserves_any_space"] = zero_vector
+        sub["homogeneous_flag"] = zero_total
+        sub["preserves_any_space"] = zero_vector
     if spec.algebra == "sl2xsl2":
-        report.subkinds = {"type_2x": sub["x"], "type_2y": sub["y"],
-                           "first_type_attached": sub["total"]}
-        report.kind = "exact" if (sub["x"] or sub["y"]) else "quasi"
-    return report
+        sub = {"type_2x": sub["x"], "type_2y": sub["y"], "first_type_attached": sub["total"]}
+        kind = "exact" if (sub["type_2x"] or sub["type_2y"]) else "quasi"
+    return {"kind": kind, "positive_words": positive, "subkinds": sub}
 
 
 # --------------------------------------------------------------------------
@@ -371,37 +363,42 @@ def conclusion_spaces(rule: CaseRule, spec: RepSpec,
     return out
 
 
-def match_cases(assignment: CoeffAssignment, bound: int = 12) -> List[dict]:
-    """Every catalogued rule whose predicate the assignment satisfies exactly,
-    with all integer parameter instantiations up to the bound."""
+def match_instances(assignment: CoeffAssignment,
+                    bound: int = 12) -> Iterator[Tuple[dict, List[Target]]]:
+    """Each rule instance whose predicate the assignment satisfies exactly, as
+    (match, its conclusion_spaces targets), free integer parameters up to the
+    bound; a noninteger_solve rule fires at its one non-integer solution."""
     spec = assignment.spec
     names = sorted(coefficient_words(spec))
     vec = [assignment.get(nm) for nm in names]
-    matches = []
     for rule in rules_for(spec):
-        if any(not assignment.get(nm).is_zero() for nm in rule.requires_zero):
+        if (any(not assignment.get(nm).is_zero() for nm in rule.requires_zero)
+                or any(assignment.get(nm).is_zero() for nm in rule.requires_nonzero)):
             continue
-        if any(assignment.get(nm).is_zero() for nm in rule.requires_nonzero):
-            continue
-        if rule.noninteger_solve is not None:
-            hit = _solve_noninteger(rule, assignment, names)
-            if hit is not None:
-                matches.append(hit)
-            continue
-        for values in itertools.product(range(bound + 1), repeat=len(rule.free)):
-            params: Dict[str, object] = {"n": spec.n, "m": spec.m, **dict(zip(rule.free, values))}
-            env = _param_env(spec, params)
-            if any(params[fp] > _affine(expr, env).re for fp, expr in rule.free_max.items()):
-                continue
-            if all(_dot(row, vec).is_zero() for row in _equation_rows(rule, spec, env, names)):
-                matches.append({
-                    "id": rule.id,
-                    "params": {k: str(Scalar.of(v)) for k, v in params.items()
-                               if k in rule.free},
-                    "conclusions": [d for d, _ in
-                                    conclusion_spaces(rule, spec, params)],
-                })
-    return matches
+        solve = rule.noninteger_solve
+        if solve is not None:
+            val = _solve_noninteger(rule, assignment)
+            frees = [] if val is None else [{solve["var"]: val}]
+        else:
+            frees = (dict(zip(rule.free, values))
+                     for values in itertools.product(range(bound + 1), repeat=len(rule.free)))
+        for free in frees:
+            params: Dict[str, object] = {"n": spec.n, "m": spec.m, **free}
+            if solve is None:
+                env = _param_env(spec, params)
+                if any(params[fp] > _affine(expr, env).re for fp, expr in rule.free_max.items()):
+                    continue
+                if not all(_dot(row, vec).is_zero()
+                           for row in _equation_rows(rule, spec, env, names)):
+                    continue
+            targets = conclusion_spaces(rule, spec, params)
+            yield ({"id": rule.id, "params": {k: str(Scalar.of(v)) for k, v in free.items()},
+                    "conclusions": [d for d, _ in targets]}, targets)
+
+
+def match_cases(assignment: CoeffAssignment, bound: int = 12) -> List[dict]:
+    """The matches of match_instances."""
+    return [match for match, _ in match_instances(assignment, bound)]
 
 
 def _dot(row: Sequence[Scalar], vec: Sequence[Scalar]) -> Scalar:
@@ -412,31 +409,26 @@ def _dot(row: Sequence[Scalar], vec: Sequence[Scalar]) -> Scalar:
     return out
 
 
-def _solve_noninteger(rule: CaseRule, assignment: CoeffAssignment,
-                      names: Sequence[str]) -> Optional[dict]:
-    """Free parameter determined by one equation; fires when non-integer."""
+def _solve_noninteger(rule: CaseRule, assignment: CoeffAssignment) -> Optional[Scalar]:
+    """The free parameter determined by one equation, when non-integer."""
     spec = assignment.spec
     var = rule.noninteger_solve["var"]
-    terms = rule.noninteger_solve["equation"]
     base = {"n": spec.n, "m": spec.m}
     # write the equation as A + B*var = 0 over the assignment's coefficients
     env0 = _param_env(spec, dict(base, **{var: 0}))
     env1 = _param_env(spec, dict(base, **{var: 1}))
     a = b = ZERO
-    for cname, expr in terms:
+    for cname, expr in rule.noninteger_solve["equation"]:
         c = assignment.get(cname)
         v0 = _affine(expr, env0)
-        v1 = _affine(expr, env1)
         a = a + v0 * c
-        b = b + (v1 - v0) * c
+        b = b + (_affine(expr, env1) - v0) * c
     if b.is_zero():
         return None
     val = -a / b
     if not val.is_rational() or val.re.denominator == 1:
         return None     # integer solutions belong to the sibling rule
-    params = dict(base, **{var: val})
-    return {"id": rule.id, "params": {var: str(val)},
-            "conclusions": [d for d, _ in conclusion_spaces(rule, spec, params)]}
+    return val
 
 
 # --------------------------------------------------------------------------

@@ -22,14 +22,14 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .classify import (CoeffAssignment, case_jobs, classify_grading,
-                       conclusion_spaces, constrained_param_count, find_rule,
-                       match_cases, target_escapes, verify_case)
+                       constrained_param_count, find_rule, match_cases, match_instances,
+                       target_escapes, verify_case)
 from .dsl import EvalContext, ParseError, evaluate, operator_to_dsl, parse_operator, print_ast
 from .enveloping import (ElementAction, burnside_span_rank, grading, make_word, param_count,
                          coefficient_shape_check, expand, verify_relations,
                          word_is_exact, words_up_to_degree)
 from .identities import IDENTITY_IDS, verify_identity
-from .operators import LinOperator, commutator
+from .operators import LinOperator, OpContext, commutator
 from .reps import ALGEBRAS, RepSpec, make_rep, verify_structure
 from .scalars import QParam, Scalar
 from .spaces import SpaceSpec, action_matrix, dimension, parse_space
@@ -70,9 +70,14 @@ def _spec_from_args(args) -> RepSpec:
                        q=q, r=args.r, k=getattr(args, "k", 2))
 
 
-def _space_arg(text: str) -> SpaceSpec:
+def _space_arg(text: str, ctx: OpContext | None = None) -> SpaceSpec:
+    """A space, which must fit the operator context ctx when one is given."""
     with _bad_input(f"bad space {text!r}"):
-        return parse_space(text)
+        s = parse_space(text)
+        need = s.vars + ("theta",) * s.is_spinor()
+        if ctx is not None and not set(need) <= set(ctx.all_vars):
+            raise ValueError(f"the space is over {need}, the operator over {ctx.all_vars}")
+        return s
 
 
 def _env_from_args(args) -> EvalContext:
@@ -112,9 +117,10 @@ def emit(args, command: str, inputs: dict, payload: dict, ok: bool,
     return 0 if ok else 1
 
 
-def _load_coeffs(args, spec: RepSpec) -> CoeffAssignment:
-    if not args.coeffs:
-        raise UsageError("--coeffs FILE is required")
+def _load_coeffs(args) -> CoeffAssignment:
+    if args.bound < 0:
+        raise UsageError(f"--bound must be at least 0, got {args.bound}")
+    spec = _spec_from_args(args)
     with open(args.coeffs) as fh, _bad_input(f"bad coefficients in {args.coeffs}"):
         return CoeffAssignment.from_json(spec, json.load(fh))
 
@@ -186,7 +192,7 @@ def cmd_grading(args) -> int:
 
 def cmd_invariance(args) -> int:
     env = _env_from_args(args)
-    s = _space_arg(args.space)
+    s = _space_arg(args.space, env.ctx)
     op = evaluate(parse_operator(args.op), env)
     res = action_matrix(op, s)
     payload = {
@@ -201,32 +207,24 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    spec = _spec_from_args(args)
-    asg = _load_coeffs(args, spec)
-    report = classify_grading(asg)
-    matches = match_cases(asg, bound=args.bound)
-    op = ElementAction(make_rep(spec), asg.element())
-    confirmed = []
-    for m in matches:
-        rule = find_rule(spec, m["id"])
-        params = {"n": spec.n, "m": spec.m}
-        params.update({k: Fraction(v) for k, v in m["params"].items()})
-        spaces = [(d, rows) for d, rows in conclusion_spaces(rule, spec, params)
-                  if all(cap is None for _, cap in rows)]
+    asg = _load_coeffs(args)
+    op = ElementAction(make_rep(asg.spec), asg.element())
+    matches, confirmed = [], set()
+    for match, targets in match_instances(asg, args.bound):
+        matches.append(match)
+        spaces = [(d, rows) for d, rows in targets if all(cap is None for _, cap in rows)]
         escaped = {d for d, _ in target_escapes(op, spaces)}
-        confirmed += [d for d, _ in spaces if d not in escaped]
-    report.matched_rules = matches
-    report.confirmed_spaces = sorted(set(confirmed))
-    payload = report.to_json()
-    return emit(args, "classify", {"coeffs": asg.to_json(), **_spec_inputs(spec)},
+        confirmed.update(d for d, _ in spaces if d not in escaped)
+    payload = {**classify_grading(asg), "matched_rules": matches,
+               "confirmed_spaces": sorted(confirmed)}
+    return emit(args, "classify", {"coeffs": asg.to_json(), **_spec_inputs(asg.spec)},
                 payload, True, checks=[m["id"] for m in matches])
 
 
 def cmd_match_cases(args) -> int:
-    spec = _spec_from_args(args)
-    asg = _load_coeffs(args, spec)
-    matches = match_cases(asg, bound=args.bound)
-    return emit(args, "match-cases", {"coeffs": asg.to_json(), **_spec_inputs(spec)},
+    asg = _load_coeffs(args)
+    matches = match_cases(asg, args.bound)
+    return emit(args, "match-cases", {"coeffs": asg.to_json(), **_spec_inputs(asg.spec)},
                 {"matches": matches}, True, checks=[m["id"] for m in matches])
 
 
@@ -242,7 +240,7 @@ def cmd_param_count(args) -> int:
 
 def cmd_spectrum(args) -> int:
     env = _env_from_args(args)
-    s = _space_arg(args.space)
+    s = _space_arg(args.space, env.ctx)
     op = evaluate(parse_operator(args.op), env)
     res = action_matrix(op, s)
     if not res.preserved:
@@ -295,16 +293,16 @@ def cmd_matrix_example(args) -> int:
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
     model = build_matrix_example(alpha, beta, n)
-    resid = matrix_example_residuals(model) if model.preserved else []
+    resid = matrix_example_residuals(model) if model.action.preserved else []
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("y,V11,V12re,V12im,V22\n")
             for y, v in zip(model.ygrid, model.potential):
                 fh.write(f"{y:.12g},{v[0,0].real:.12g},{v[0,1].real:.12g},"
                          f"{v[0,1].imag:.12g},{v[1,1].real:.12g}\n")
-    ok = (model.preserved and model.hermitian
+    ok = (model.action.preserved and model.hermitian
           and bool(resid) and max(resid) < 1e-5)
-    payload = {"preserved": model.preserved, "hermitian": model.hermitian,
+    payload = {"preserved": model.action.preserved, "hermitian": model.hermitian,
                "dimension": 2 * int(args.n) + 1,
                "eigen_residuals": [f"{r:.3e}" for r in resid],
                "printed_potential_deviation": model.printed_deviation,
@@ -527,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qeslab",
         description="Exact operator calculus for quasi-exactly-solvable "
-                    "spectral problems",
-        parents=[shared])
+                    "spectral problems")
     sub = p.add_subparsers(dest="command", required=True)
     sub_kw = {"parents": [shared]}
 

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .operators import LinOperator, OpContext
 from .reps import GeneratorSet, RepSpec, make_rep
-from .scalars import QParam, Scalar
+from .scalars import DegenerateQError, QParam, Scalar
 
 SIGNED_NAMES = {"J+", "J-", "T+", "T-", "Jx+", "Jx-", "Jy+", "Jy-"}
 
@@ -300,8 +300,11 @@ class EvalContext:
                 raise ParseError(f"unknown generator {node.name}", 1, 1)
             return self.gens.ops[node.name]
         old = self.gens.spec
-        spec = RepSpec(old.algebra, n=Scalar(node.arg), m=old.m, q=old.q,
-                       r=old.r, k=old.k)
+        try:
+            spec = RepSpec(old.algebra, n=Scalar(node.arg), m=old.m, q=old.q,
+                           r=old.r, k=old.k)
+        except (ValueError, DegenerateQError) as e:
+            raise ParseError(f"bad mark {node.name}[{node.arg}]: {e}", 1, 1) from e
         gens = make_rep(spec)
         if node.name not in gens.ops:
             raise ParseError(f"unknown generator {node.name}", 1, 1)
@@ -317,7 +320,7 @@ def evaluate(node: Node, env: EvalContext) -> LinOperator:
         if name in ctx.all_vars:
             return LinOperator.mult(ctx, ctx.var(name))
         if name == "Dtheta" and ctx.theta:
-            return LinOperator.theta_deriv(ctx)
+            return LinOperator.deriv(ctx, "theta")
         if name.startswith("JD") and name[2:] in ctx.vars:
             if ctx.q is None:
                 raise ParseError(f"difference derivative {name} needs a "

@@ -150,10 +150,6 @@ class LinOperator:
         w[ctx.all_vars.index(name)] = order
         return cls(ctx, {tuple(w): ctx.const(1)})
 
-    @classmethod
-    def theta_deriv(cls, ctx: OpContext) -> "LinOperator":
-        return cls.deriv(ctx, THETA)
-
     # -- linear structure ---------------------------------------------------
 
     def _check(self, other: "LinOperator") -> None:

@@ -54,10 +54,6 @@ class Poly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, vars: Iterable[str], nil=frozenset()) -> "Poly":
-        return cls(vars, {}, nil)
-
-    @classmethod
     def const(cls, vars: Iterable[str], value: ScalarLike, nil=frozenset()) -> "Poly":
         vars = tuple(vars)
         return cls(vars, {(0,) * len(vars): Scalar.of(value)}, nil)

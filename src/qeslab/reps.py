@@ -44,7 +44,6 @@ class RepSpec:
     q: QParam | None = None
     r: int = 1                  # abelian-ideal width parameter
     k: int = 2                  # number of variables for the rotation family
-    qn: Scalar | None = None    # optional explicit q**n (formal mark power)
 
     def __post_init__(self):
         if self.algebra not in ALGEBRAS:
@@ -56,11 +55,10 @@ class RepSpec:
         if self.algebra == "sl2q" and self.q is None:
             raise ValueError("sl2q needs a deformation parameter")
         if self.algebra == "sl2q" and self.q.b != ONE:
-            if self.qn is None and not (self.n.is_rational()
-                                        and self.n.re.denominator == 1):
-                raise ValueError("mark power q**n is not rational for a "
-                                 "non-integer mark; pass qn= explicitly")
-            if (ONE + self.q.b * _mark_power(self)).is_zero():
+            if not (self.n.is_rational() and self.n.re.denominator == 1):
+                raise ValueError(f"the deformed family needs an integer mark "
+                                 f"at q={self.q.q}, got n={self.n}")
+            if (ONE + self.q.b ** (int(self.n.re) + 1)).is_zero():
                 raise DegenerateQError(f"{{2n+2}} vanishes at q={self.q.q}, "
                                        f"mark {self.n}")
 
@@ -106,9 +104,6 @@ class GeneratorSet:
         default_factory=dict, init=False, compare=False, repr=False)
     _steps: Dict[Tuple[str, Exponent], Step | None] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-
-    def op(self, name: str) -> LinOperator:
-        return self.ops[name]
 
     def word_op(self, names: Sequence[str]) -> LinOperator:
         """Product of the named generators, composed left to right.
@@ -185,12 +180,6 @@ def verify_structure(gens: GeneratorSet, matrix_form: bool = False) -> dict:
 # --------------------------------------------------------------------------
 # helpers
 
-def _mark_power(spec: RepSpec) -> Scalar:
-    """b**n at the effective base b as an exact scalar: explicit override, or
-    integer mark (RepSpec admits no other deformed spec)."""
-    return spec.qn if spec.qn is not None else spec.q.b ** int(spec.n.re)
-
-
 def sl2q_constants(spec: RepSpec) -> Tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
     """The deformed constants of the difference family at the spec's mark:
     ({n}, {n+1}, nhat = {n}{n+1}/{2n+2}, kappa, lambda), through t = b**n as
@@ -199,7 +188,7 @@ def sl2q_constants(spec: RepSpec) -> Tuple[Scalar, Scalar, Scalar, Scalar, Scala
     b = spec.q.b
     if b == ONE:
         return spec.n, spec.n + ONE, spec.n / Scalar(2), ONE, Scalar(2)
-    t = _mark_power(spec)
+    t = b ** int(spec.n.re)  # an integer mark, by RepSpec
     one_bt = ONE + b * t  # nonzero by RepSpec
     nq = (ONE - t) / (ONE - b)
     return nq, (ONE - b * t) / (ONE - b), nq / one_bt, t * (b + ONE) / one_bt, one_bt
@@ -269,7 +258,7 @@ def _make_osp22(spec: RepSpec) -> GeneratorSet:
     x = ctx.var("x")
     th = ctx.var("theta")
     dx = LinOperator.deriv(ctx, "x")
-    dth = LinOperator.theta_deriv(ctx)
+    dth = LinOperator.deriv(ctx, "theta")
     mx = LinOperator.mult(ctx, x)
     mth = LinOperator.mult(ctx, th)
     half = Scalar(Fraction(1, 2))

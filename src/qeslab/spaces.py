@@ -1,8 +1,9 @@
 """Finite-dimensional polynomial spaces and exact actions on them.
 
 A SpaceSpec names a lattice region (interval, spinor pair, triangle,
-rectangle, wedge, simplex); its basis is enumerated in graded order with the
-even sector first, and the closed-form dimension is cross-checked against the
+rectangle, wedge, simplex); its variables follow from its kind and
+parameters, its basis is enumerated in graded order with the even sector
+first, and the closed-form dimension is cross-checked against the
 enumeration at construction time.  action_matrix takes the image of each
 basis monomial (apply_monomial, of a LinOperator or of an element acting by
 generator walks) and stores it sparse, one {row: entry} column per label
@@ -35,7 +36,6 @@ class DimensionMismatchError(AssertionError):
 class SpaceSpec:
     kind: str                     # interval|spinor|triangle|rectangle|wedge|simplex
     params: Tuple[int, ...]
-    vars: Tuple[str, ...] = ()
 
     def __post_init__(self):
         kinds = {"interval": 1, "spinor": 2, "triangle": 1, "rectangle": 2,
@@ -49,18 +49,15 @@ class SpaceSpec:
         if self.params[0] < 0 or any(p < low for p in self.params) or \
                 (self.kind in ("wedge", "simplex") and self.params[0] < 1):
             raise ValueError(f"bad parameters {self.params} for {self.kind}")
-        if not self.vars:
-            default = {
-                "interval": ("x",), "spinor": ("x",),
-                "triangle": ("x", "y"), "rectangle": ("x", "y"),
-                "wedge": ("x", "y"),
-                "simplex": tuple(f"x{i}" for i in range(1, self.params[0] + 1)),
-            }[self.kind]
-            object.__setattr__(self, "vars", default)
-        if self.kind == "simplex" and len(self.vars) != self.params[0]:
-            raise ValueError("simplex variable list must have k entries")
         if dimension(self) != len(self.labels()):
             raise DimensionMismatchError(str(self))
+
+    @property
+    def vars(self) -> Tuple[str, ...]:
+        """The even variables: x, x and y, or x1..xk for simplex k."""
+        if self.kind == "simplex":
+            return tuple(f"x{i}" for i in range(1, self.params[0] + 1))
+        return ("x",) if self.kind in ("interval", "spinor") else ("x", "y")
 
     # -- enumeration -----------------------------------------------------
 
@@ -140,13 +137,14 @@ def _wedge_alpha(r: int, n: int) -> int | None:
     return None
 
 
-def _exponent(s: SpaceSpec, label: Label, ctx: OpContext) -> Exponent:
-    """A basis label's exponent tuple over the operator context."""
+def _exponent(vars: Tuple[str, ...], label: Label, ctx: OpContext) -> Exponent:
+    """A basis label's exponent tuple over the operator context, given the
+    space's variables."""
     exp, odd = label
     if odd and not ctx.theta:
         raise ValueError("odd basis element in an even-only context")
     e = [0] * len(ctx.all_vars)
-    for v, k in zip(s.vars + ("theta",) * odd, exp + (odd,)):
+    for v, k in zip(vars + ("theta",) * odd, exp + (odd,)):
         e[ctx.all_vars.index(v)] = k
     return tuple(e)
 
@@ -190,8 +188,8 @@ def flag_actions(op, flag: Sequence[SpaceSpec]) -> Iterator[ActionResult]:
     ctx = op.ctx
     images: Dict[Exponent, Dict[Exponent, Scalar]] = {}
     for s in flag:
-        labels = s.labels()
-        exps = [_exponent(s, lab, ctx) for lab in labels]
+        labels, vars = s.labels(), s.vars
+        exps = [_exponent(vars, lab, ctx) for lab in labels]
         index = {e: i for i, e in enumerate(exps)}
         cols: List[Dict[int, Scalar]] = []
         escapes: List[Escape] = []

@@ -413,7 +413,6 @@ class MatrixPotentialModel:
     action: ActionResult
     hermitian: bool
     printed_deviation: float
-    preserved: bool
 
 
 def matrix_example_assignment(alpha, beta, n: int) -> CoeffAssignment:
@@ -499,7 +498,7 @@ def build_matrix_example(alpha: float, beta: float, n: int,
     herm = all(np.allclose(v, v.conj().T, atol=1e-10) for v in printed)
     dev = max(float(np.max(np.abs(a - b))) for a, b in zip(printed, derived))
     return MatrixPotentialModel(alpha, beta, n, ygrid, gauge, derived,
-                                action, herm, dev, action.preserved)
+                                action, herm, dev)
 
 
 def matrix_example_residuals(model: MatrixPotentialModel) -> List[float]:

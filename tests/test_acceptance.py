@@ -236,8 +236,8 @@ def test_criterion_08_matrix_example():
     results = []
     for n in (1, 2):
         model = build_matrix_example(2.0, 1.0, n, ygrid=ygrid)
-        resid = matrix_example_residuals(model) if model.preserved else [float("inf")]
-        results.append((n, model.preserved, model.hermitian, max(resid)))
+        resid = matrix_example_residuals(model) if model.action.preserved else [float("inf")]
+        results.append((n, model.action.preserved, model.hermitian, max(resid)))
     ok = all(p and h and r < 1e-5 for _, p, h, r in results)
     announce(8, ok,
              "matrix model preserves the (2n+1)-dimensional spinor space, "

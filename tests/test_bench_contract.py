@@ -116,7 +116,7 @@ def test_bench_result_reads_resolve():
     from qeslab.spaces import SpaceSpec, action_matrix
     from qeslab.spectral import sextic_reduction, spectrum
 
-    sl2 = make_rep(RepSpec("sl2", n=Scalar(2))).op("J0")
+    sl2 = make_rep(RepSpec("sl2", n=Scalar(2))).ops["J0"]
     act = action_matrix(sl2, SpaceSpec("interval", (2,)))
     red, _ = sextic_reduction(1, 0, 1, 0, [0.1 + i * 1e-2 for i in range(9)])
     records = {"ActionResult": act, "Spectrum": spectrum(act),

@@ -42,10 +42,10 @@ def solve(rows, rhs):
 def test_classify_grading_examples():
     spec = RepSpec("sl2", n=S(4))
     exact = CoeffAssignment(spec, {"c_+-": S(1), "c_0-": S(2), "c_0": S(-1), "c": S(5)})
-    assert classify_grading(exact).kind == "exact"
+    assert classify_grading(exact)["kind"] == "exact"
     single = CoeffAssignment(spec, {"c_+": S(1)})
     rep = classify_grading(single)
-    assert rep.kind == "quasi" and rep.positive_words == ["J+"]
+    assert rep["kind"] == "quasi" and rep["positive_words"] == ["J+"]
 
 
 def test_classify_osp_exact_conditions():
@@ -56,30 +56,30 @@ def test_classify_osp_exact_conditions():
     killed = {"c_++", "c_+0", "c_+1b", "c_+2b", "c_1b", "c_+2", "c_+J", "c_+"}
     vals = {nm: S(1) for nm in names - killed}
     rep = classify_grading(CoeffAssignment(spec, vals))
-    assert rep.kind == "exact"
+    assert rep["kind"] == "exact"
     vals["c_+"] = S(1)
-    assert classify_grading(CoeffAssignment(spec, vals)).kind == "quasi"
+    assert classify_grading(CoeffAssignment(spec, vals))["kind"] == "quasi"
 
 
 def test_classify_direct_sum_subkinds():
     spec = RepSpec("sl2xsl2", n=S(3), m=S(2))
     asg = CoeffAssignment(spec, {"c_xx_0-": S(1), "c_yy_++": S(1)})
     rep = classify_grading(asg)
-    assert rep.subkinds["type_2x"] and not rep.subkinds["type_2y"]
+    assert rep["subkinds"]["type_2x"] and not rep["subkinds"]["type_2y"]
     asg2 = CoeffAssignment(spec, {"c_xy_+-": S(1)})
     rep2 = classify_grading(asg2)
-    assert rep2.subkinds["first_type_attached"]
-    assert not rep2.subkinds["type_2x"]
+    assert rep2["subkinds"]["first_type_attached"]
+    assert not rep2["subkinds"]["type_2x"]
 
 
 def test_classify_sl3_homogeneous_flag():
     spec = RepSpec("sl3", n=S(3))
     asg = CoeffAssignment(spec, {"c_23": S(2), "c_d": S(1)})
     rep = classify_grading(asg)
-    assert rep.subkinds["homogeneous_flag"]
-    assert not rep.subkinds["preserves_any_space"]
+    assert rep["subkinds"]["homogeneous_flag"]
+    assert not rep["subkinds"]["preserves_any_space"]
     asg2 = CoeffAssignment(spec, {"c_d.td": S(1)})
-    assert classify_grading(asg2).subkinds["preserves_any_space"]
+    assert classify_grading(asg2)["subkinds"]["preserves_any_space"]
 
 
 def test_match_cases_one_variable():
@@ -489,6 +489,6 @@ def test_exact_classification_implies_exact_shape():
         vals = {nm: S(rng.randint(-5, 5))
                 for nm in ("c_+-", "c_0-", "c_--", "c_0", "c_-", "c")}
         asg = CoeffAssignment(spec, vals)
-        assert classify_grading(asg).kind == "exact"
+        assert classify_grading(asg)["kind"] == "exact"
         chk = coefficient_shape_check(asg.operator(), spec, 2, "exact")
         assert chk["ok"], chk

@@ -77,6 +77,10 @@ def test_usage_error_exit_code(capsys):
     ["matrix-example", "--alpha", "2", "--beta", "1", "--n", "-1"],
     ["reduce", "--sextic", "n=-1,k=0,a=1,b=1"],
     ["reduce", "--sextic", "n=2,k=2,a=1,b=1"],
+    ["invariance", "--algebra", "sl2", "--n", "2", "--op", "J+", "--space", "tri:2"],
+    ["spectrum", "--algebra", "sl2", "--n", "2", "--op", "J+", "--space", "spin:1,1"],
+    ["parse", "--op", "J+[1/2]", "--algebra", "sl2q", "--n", "2"],
+    ["parse", "--op", "J+[2]", "--algebra", "sl2q", "--n", "1", "--q", "-1"],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert run_command(argv) == 2
@@ -292,16 +296,72 @@ MATCH_CASES_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("key", list(MATCH_CASES_DIGESTS), ids="-".join)
-def test_match_cases_report_digests_pinned(key, tmp_path, monkeypatch):
-    monkeypatch.delenv("QESLAB_SEED", raising=False)
+def _match_report_digest(key, tmp_path) -> str:
     command, algebra, n = key
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(json.dumps(MATCH_FIXTURES[algebra, n]))
     path = tmp_path / "report.json"
     argv = [command, "--algebra", algebra, "--n", n, "--coeffs", str(coeffs)]
     assert run_command(argv + ["--json", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == MATCH_CASES_DIGESTS[key]
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(MATCH_CASES_DIGESTS), ids="-".join)
+def test_match_cases_report_digests_pinned(key, tmp_path, monkeypatch):
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    assert _match_report_digest(key, tmp_path) == MATCH_CASES_DIGESTS[key]
+
+
+def test_classify_confirms_on_the_matched_instances(tmp_path, monkeypatch):
+    # classify reads the rule instances match-cases built, not the catalogue again
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    calls = []
+    monkeypatch.setattr(cli, "find_rule", lambda *a: calls.append(a))
+    key = ("classify", "osp22", "6")
+    assert _match_report_digest(key, tmp_path) == MATCH_CASES_DIGESTS[key]
+    assert calls == []
+
+
+@pytest.mark.parametrize("data", [{"c_+": 1}, ["c_+"]], ids=["number", "list"])
+@pytest.mark.parametrize("command", ["classify", "match-cases"])
+def test_malformed_coefficient_file_is_a_usage_error(command, data, tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps(data))
+    assert run_command([command, "--algebra", "sl2", "--n", "4", "--coeffs", str(coeffs)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "internal" not in err and "coeff" in err["error"]
+
+
+def test_negative_bound_is_a_usage_error(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps(MATCH_FIXTURES["sl2", "4"]))
+    argv = ["match-cases", "--algebra", "sl2", "--n", "4", "--coeffs", str(coeffs)]
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and [(m["id"], m["params"]) for m in rep["payload"]["matches"]] \
+        == [("Lemma1.3", {"m": "5"})]
+    assert run_command(argv + ["--bound", "-1"]) == 2
+    assert "--bound" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("option", [["--seed", "5"], ["--json", "F"], ["--compact"]],
+                         ids=lambda o: o[0])
+def test_global_options_before_the_command_are_refused(option, capsys):
+    assert run_command(option + ["burnside", "--degree", "1"]) == 2
+
+
+def test_global_options_after_the_command_are_read(tmp_path, capsys):
+    path = tmp_path / "F"
+    assert run_command(["burnside", "--degree", "1", "--seed", "5", "--compact",
+                        "--json", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["seed"] == 5
+
+
+def test_deformed_family_refuses_a_fractional_mark(capsys):
+    assert run_command(["rep", "verify", "--algebra", "sl2q", "--n", "5/2"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "integer mark" in err and "qn" not in err
 
 
 # rank- and charpoly-heavy reports, pinned the same way before the exact

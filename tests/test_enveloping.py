@@ -79,7 +79,7 @@ def test_grading_additivity_per_generator():
         mono = ctx.var(ctx.vars[0], 2) * ctx.var(ctx.vars[1], 3)
         for name in g.names:
             vx, vy = g.grading[name]
-            image = g.op(name).apply_poly(mono)
+            image = g.ops[name].apply_poly(mono)
             for e in image.terms:
                 assert e[0] == 2 + vx and e[1] == 3 + vy
 
@@ -108,15 +108,6 @@ def test_relation_tables_are_built_at_the_mark(spec):
     shifted = make_rep(replace(spec, n=spec.n + ONE))
     assert all(expand(rel.expr, here).is_zero() for rel in rels)
     assert any(not expand(rel.expr, shifted).is_zero() for rel in rels)
-
-
-def test_difference_relation_table_at_a_fractional_mark():
-    # the deformed Casimir is built through the explicit mark power q**n,
-    # not at the truncated integer mark
-    spec = RepSpec("sl2q", n=Scalar(Fraction(5, 2)), q=QParam(4), qn=Scalar(32))
-    gens = make_rep(spec)
-    for rel in relation_table(spec):
-        assert expand(rel.expr, gens).is_zero(), rel.label
 
 
 def test_relation_suite_taxonomy():

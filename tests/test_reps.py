@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,9 @@ def test_sl2_generators_explicit():
     g = make_rep(RepSpec("sl2", n=Scalar(2)))
     ctx = g.ctx
     x = ctx.var("x")
-    assert g.op("J-") == LinOperator.deriv(ctx, "x")
-    assert g.op("J0") == LinOperator.mult(ctx, x) * g.op("J-") - LinOperator.identity(ctx)
-    assert g.op("J+") == (LinOperator.mult(ctx, ctx.var("x", 2)) * g.op("J-")
+    assert g.ops["J-"] == LinOperator.deriv(ctx, "x")
+    assert g.ops["J0"] == LinOperator.mult(ctx, x) * g.ops["J-"] - LinOperator.identity(ctx)
+    assert g.ops["J+"] == (LinOperator.mult(ctx, ctx.var("x", 2)) * g.ops["J-"]
                           - LinOperator.mult(ctx, x).scale(2))
 
 
@@ -25,7 +26,7 @@ def test_sl2q_generator_explicit():
     ctx = g.ctx
     want = (LinOperator.mult(ctx, ctx.var("x", 2)) * LinOperator.deriv(ctx, "x")
             - LinOperator.mult(ctx, ctx.var("x")))     # {1} = 1
-    assert g.op("J+") == want
+    assert g.ops["J+"] == want
 
 
 def test_gl2_semi_ideal_generators():
@@ -34,7 +35,7 @@ def test_gl2_semi_ideal_generators():
     dy = LinOperator.deriv(ctx, "y")
     for i in range(3):
         want = dy if i == 0 else LinOperator.mult(ctx, ctx.var("x", i)) * dy
-        assert g.op(f"J{5 + i}") == want
+        assert g.ops[f"J{5 + i}"] == want
 
 
 @pytest.mark.parametrize("algebra,kwargs", [
@@ -50,7 +51,7 @@ def test_gl2_semi_ideal_generators():
     ("sl3_flag", {}),
 ])
 def test_structure_random_rational_marks(algebra, kwargs):
-    rng = random.Random(hash(algebra) & 0xFFFF)
+    rng = random.Random(zlib.crc32(algebra.encode()))
     for _ in range(5):
         n = Scalar(Fraction(rng.randint(-18, 36), rng.choice([1, 2, 3, 5])))
         m = Scalar(Fraction(rng.randint(-12, 24), rng.choice([1, 2, 3])))
@@ -123,13 +124,13 @@ def test_flag_family_chevalley_properties():
         g = make_rep(RepSpec("sl3_flag", n=Scalar(n1), m=Scalar(n2)))
         for i, ei in enumerate(("e1", "e2")):
             for j, fj in enumerate(("f1", "f2")):
-                br = commutator(g.op(ei), g.op(fj))
-                want = g.op(f"h{i + 1}") if i == j else LinOperator.zero(g.ctx)
+                br = commutator(g.ops[ei], g.ops[fj])
+                want = g.ops[f"h{i + 1}"] if i == j else LinOperator.zero(g.ctx)
                 assert br == want
         cartan = {("h1", "e1"): 2, ("h1", "e2"): -1,
                   ("h2", "e1"): -1, ("h2", "e2"): 2}
         for (h, e), a in cartan.items():
-            assert commutator(g.op(h), g.op(e)) == g.op(e).scale(a)
+            assert commutator(g.ops[h], g.ops[e]) == g.ops[e].scale(a)
 
 
 def test_rotation_family_closure():
@@ -138,7 +139,7 @@ def test_rotation_family_closure():
         rep = verify_structure(g)
         assert rep["ok"]
     g = make_rep(RepSpec("so3_nonflat", n=Scalar(Fraction(5, 2))))
-    assert commutator(g.op("J1"), g.op("J2")) == g.op("J3")
+    assert commutator(g.ops["J1"], g.ops["J2"]) == g.ops["J3"]
 
 
 SPECS = {

@@ -48,7 +48,7 @@ def test_basis_order_graded_even_first():
 
 def test_action_matrix_examples():
     g = make_rep(RepSpec("sl2", n=Scalar(2)))
-    res = action_matrix(g.op("J0"), SpaceSpec("interval", (2,)))
+    res = action_matrix(g.ops["J0"], SpaceSpec("interval", (2,)))
     assert res.preserved
     assert res.matrix == [[Scalar(-1), Scalar(0), Scalar(0)],
                           [Scalar(0), Scalar(0), Scalar(0)],
@@ -128,7 +128,7 @@ def test_nonflat_rotation_triangle():
         g = make_rep(RepSpec("so3_nonflat", n=Scalar(n)))
         s = SpaceSpec("triangle", (n,))
         for name in g.names:
-            assert action_matrix(g.op(name), s).preserved
+            assert action_matrix(g.ops[name], s).preserved
 
 
 def _two_component_action(op, s):
@@ -139,7 +139,7 @@ def _two_component_action(op, s):
     mop = to_matrix_operator(op)
     labels = s.labels()
     index = {lab: i for i, lab in enumerate(labels)}
-    zero = Poly.zero(mop.ctx.all_vars)
+    zero = Poly(mop.ctx.all_vars)
     matrix = [[Scalar(0)] * len(labels) for _ in labels]
     escapes = {}
     for j, lab in enumerate(labels):

@@ -28,7 +28,7 @@ ZS_CENTRED = [-1.9 + i * 1e-2 for i in range(381)]  # z in [-1.9, 1.9]
 def test_spectrum_diagonal():
     from qeslab.reps import make_rep
     g = make_rep(RepSpec("sl2", n=S(2)))
-    sp = spectrum(action_matrix(g.op("J0"), SpaceSpec("interval", (2,))))
+    sp = spectrum(action_matrix(g.ops["J0"], SpaceSpec("interval", (2,))))
     got = sorted(r.real for r in sp.roots)
     assert max(abs(a - b) for a, b in zip(got, [-1.0, 0.0, 1.0])) < 1e-12
     assert sp.trace_check < 1e-12
@@ -319,7 +319,7 @@ def test_matrix_example_preservation_and_residuals():
     for n in (1, 2):
         model = build_matrix_example(2.0, 1.0, n,
                                      ygrid=[0.2 + i * 1e-3 for i in range(1201)])
-        assert model.preserved
+        assert model.action.preserved
         assert model.hermitian
         assert len(model.action.labels) == 2 * n + 1
         resid = matrix_example_residuals(model)
@@ -329,7 +329,7 @@ def test_matrix_example_preservation_and_residuals():
 def test_matrix_example_beta_zero_degenerates():
     model = build_matrix_example(1.0, 0.0, 1,
                                  ygrid=[0.3 + i * 2e-3 for i in range(401)])
-    assert model.preserved
+    assert model.action.preserved
     # at beta = 0 the derived potential is diagonal (no mixing terms)
     for v in model.potential:
         assert abs(v[0, 1]) < 1e-9 and abs(v[1, 0]) < 1e-9
