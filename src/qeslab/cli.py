@@ -516,13 +516,20 @@ def cmd_burnside(args) -> int:
 
 # --------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument error raises UsageError, which is reported as JSON."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int,
                         default=int(os.environ.get("QESLAB_SEED", "12345")))
     shared.add_argument("--json", help="write the JSON report to a file ('-' = stdout)")
     shared.add_argument("--compact", action="store_true", help="single-line JSON")
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="qeslab",
         description="Exact operator calculus for quasi-exactly-solvable "
                     "spectral problems")
@@ -640,17 +647,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _usage_error(message: object) -> int:
+    print(json.dumps({"schema": SCHEMA, "error": str(message)}), file=sys.stderr)
+    return 2
+
+
 def run_command(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
+    except SystemExit as e:  # --help
         return 2 if e.code else 0
+    except UsageError as e:
+        # the top-level parser takes no option but --help
+        if argv and argv[0].startswith("-"):
+            option = argv[0].partition("=")[0]
+            return _usage_error(f"option {option} is placed before the command; put "
+                                f"it after the command (qeslab COMMAND {option} ...)")
+        return _usage_error(e)
     try:
         return args.fn(args)
     except (UsageError, ParseError, FileNotFoundError) as e:
-        print(json.dumps({"schema": SCHEMA, "error": str(e)}), file=sys.stderr)
-        return 2
+        return _usage_error(e)
     except Exception as e:
         stage = " ".join([args.command] + [getattr(args, a) for a in ("action", "suite")
                                            if getattr(args, a, None)])

@@ -4,7 +4,7 @@ Grammar (whitespace-insensitive, explicit * only -- products do not commute):
 
     expr   := term (("+"|"-") term)*
     term   := factor ("*" factor)*
-    factor := atom ["^" nat]
+    factor := atom ["^" nat]          (nat at most MAX_EXPONENT)
     atom   := rational | symbol | generator "[" args "]" | "(" expr ")"
 
 Signed generator names (J+, T-, ...) absorb their sign only when followed by
@@ -26,6 +26,12 @@ from .reps import GeneratorSet, RepSpec, make_rep
 from .scalars import DegenerateQError, QParam, Scalar
 
 SIGNED_NAMES = {"J+", "J-", "T+", "T-", "Jx+", "Jx-", "Jy+", "Jy-"}
+
+# A power is expanded by repeated composition, so its cost grows with the
+# exponent.  The largest power in the tests and the case catalogue is 6; 32
+# leaves ample room, and (J+ + J-)^32 in sl2 still expands in about a second
+# on one core of a 2-vCPU host.
+MAX_EXPONENT = 32
 
 
 class ParseError(ValueError):
@@ -113,6 +119,10 @@ def tokenize(text: str) -> List[Token]:
                 j += 1
                 while j < n and text[j].isdigit():
                     j += 1
+            try:  # the parser converts numerals freely once they pass here
+                Fraction(text[i:j])
+            except (ValueError, ZeroDivisionError) as e:
+                raise ParseError(f"bad number: {e}", start_line, start_col) from e
             toks.append(Token("num", text[i:j], start_line, start_col))
             col += j - i
             i = j
@@ -199,8 +209,12 @@ class Parser:
             if num.kind != "num" or "/" in num.text:
                 raise ParseError("exponent must be a natural number",
                                  num.line, num.col)
+            power = int(num.text)
+            if power > MAX_EXPONENT:
+                raise ParseError(f"exponent {power} is above the largest "
+                                 f"allowed power {MAX_EXPONENT}", num.line, num.col)
             self.next()
-            return Pow(base, int(num.text))
+            return Pow(base, power)
         return base
 
     def atom(self) -> Node:

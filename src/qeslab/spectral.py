@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from .classify import CoeffAssignment
 from .enveloping import ElementAction
@@ -40,6 +38,11 @@ from .poly import Poly
 from .reps import RepSpec, make_rep
 from .scalars import ONE, Scalar, ZERO
 from .spaces import ActionResult, SpaceSpec, action_matrix
+
+# numpy is imported inside the functions that compute with floats (spectrum
+# roots and the 2x2 example), so that importing qeslab does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonSquareError(ValueError):
@@ -55,6 +58,8 @@ class Spectrum:
 
 def spectrum(result: ActionResult) -> Spectrum:
     """Exact characteristic polynomial plus companion-matrix roots."""
+    import numpy as np
+
     if not result.preserved:
         raise NonSquareError(
             f"operator escapes {result.space}: {result.escapes[:3]}")
@@ -397,11 +402,6 @@ def sextic_reduction(n: int, k: int, a, b,
 # --------------------------------------------------------------------------
 # the 2x2 matrix example
 
-SIG1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIG2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIG3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
 @dataclass
 class MatrixPotentialModel:
     alpha: float
@@ -433,18 +433,13 @@ def matrix_example_assignment(alpha, beta, n: int) -> CoeffAssignment:
     })
 
 
-def _printed_matrix_potential(alpha: float, beta: float, n: int,
-                              y: float) -> np.ndarray:
-    w = beta * y * y / 2.0
-    t = -(n + 0.25) * beta + alpha * beta / 4.0 * y * y
-    base = 0.125 * (alpha ** 2 - beta ** 2) * y * y
-    return (base * np.eye(2)
-            + SIG2 * ((t - alpha / 4.0 * math.tan(w)) * math.cos(w))
-            + SIG3 * ((t - alpha / 4.0 / math.tan(w)) * math.sin(w)))
-
-
 def build_matrix_example(alpha: float, beta: float, n: int,
                          ygrid: Sequence[float] | None = None) -> MatrixPotentialModel:
+    import numpy as np
+
+    sig1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sig2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    sig3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     if ygrid is None:
         ygrid = [0.2 + i * 1e-3 for i in range(1401)]
     ygrid = list(ygrid)
@@ -463,9 +458,17 @@ def build_matrix_example(alpha: float, beta: float, n: int,
                     out[w[0]][i][j] += c.evaluate_float({"x": x})
         return out
 
+    def printed_at(y: float) -> np.ndarray:
+        w = beta * y * y / 2.0
+        t = -(n + 0.25) * beta + alpha * beta / 4.0 * y * y
+        base = 0.125 * (alpha ** 2 - beta ** 2) * y * y
+        return (base * np.eye(2)
+                + sig2 * ((t - alpha / 4.0 * math.tan(w)) * math.cos(w))
+                + sig3 * ((t - alpha / 4.0 / math.tan(w)) * math.sin(w)))
+
     def u_at(y: float) -> np.ndarray:
         s, p = alpha * y * y / 4.0, beta * y * y / 4.0
-        return math.exp(-s) * (math.cos(p) * np.eye(2) + 1j * math.sin(p) * SIG1)
+        return math.exp(-s) * (math.cos(p) * np.eye(2) + 1j * math.sin(p) * sig1)
 
     def v_derived(y: float) -> np.ndarray:
         # conjugated potential of the x = y^2, psi = U phi transformation,
@@ -474,14 +477,14 @@ def build_matrix_example(alpha: float, beta: float, n: int,
         sp, pp = alpha * y / 2.0, beta * y / 2.0
         spp, ppp = alpha / 2.0, beta / 2.0
         es = math.exp(s)
-        ui = es * (math.cos(p) * np.eye(2) - 1j * math.sin(p) * SIG1)
+        ui = es * (math.cos(p) * np.eye(2) - 1j * math.sin(p) * sig1)
         ui1 = es * ((sp * math.cos(p) - pp * math.sin(p)) * np.eye(2)
-                    - 1j * (sp * math.sin(p) + pp * math.cos(p)) * SIG1)
+                    - 1j * (sp * math.sin(p) + pp * math.cos(p)) * sig1)
         c_even = ((spp + sp * sp - pp * pp) * math.cos(p)
                   - (2 * sp * pp + ppp) * math.sin(p))
         c_odd = ((spp + sp * sp - pp * pp) * math.sin(p)
                  + (2 * sp * pp + ppp) * math.cos(p))
-        ui2 = es * (c_even * np.eye(2) - 1j * c_odd * SIG1)
+        ui2 = es * (c_even * np.eye(2) - 1j * c_odd * sig1)
         a0, a1, a2 = coeffs_at(y * y)
         amat = a2 / (4 * y * y)
         bmat = a1 / (2 * y) - a2 / (4 * y ** 3)
@@ -491,10 +494,10 @@ def build_matrix_example(alpha: float, beta: float, n: int,
     gauge = [u_at(y) for y in ygrid]
     derived = [v_derived(y) for y in ygrid]
     if beta:
-        printed = [_printed_matrix_potential(alpha, beta, n, y) for y in ygrid]
+        printed = [printed_at(y) for y in ygrid]
     else:
         printed = [0.125 * alpha ** 2 * y * y * np.eye(2)
-                   + (-(n + 0.25) * 0.0) * SIG2 for y in ygrid]
+                   + (-(n + 0.25) * 0.0) * sig2 for y in ygrid]
     herm = all(np.allclose(v, v.conj().T, atol=1e-10) for v in printed)
     dev = max(float(np.max(np.abs(a - b))) for a, b in zip(printed, derived))
     return MatrixPotentialModel(alpha, beta, n, ygrid, gauge, derived,
@@ -503,6 +506,8 @@ def build_matrix_example(alpha: float, beta: float, n: int,
 
 def matrix_example_residuals(model: MatrixPotentialModel) -> List[float]:
     """Residuals max |-(1/2) psi'' + V psi - eps psi| per algebraic eigenpair."""
+    import numpy as np
+
     res = model.action
     m = np.array([[c.to_complex() for c in row] for row in res.matrix])
     evals, evecs = np.linalg.eig(m)

@@ -81,6 +81,13 @@ def test_usage_error_exit_code(capsys):
     ["spectrum", "--algebra", "sl2", "--n", "2", "--op", "J+", "--space", "spin:1,1"],
     ["parse", "--op", "J+[1/2]", "--algebra", "sl2q", "--n", "2"],
     ["parse", "--op", "J+[2]", "--algebra", "sl2q", "--n", "1", "--q", "-1"],
+    ["parse", "--op", "x^99999999", "--vars", "x"],
+    ["parse", "--op", "x^" + "9" * 5000, "--vars", "x"],
+    ["parse", "--op", "J+[1/0]", "--algebra", "sl2", "--n", "2"],
+    ["parse", "--op", "x^\u00b2", "--vars", "x"],
+    ["burnside", "--degree", "abc"],
+    ["bogus"],
+    [],
 ])
 def test_bad_input_is_a_usage_error(argv, capsys):
     assert run_command(argv) == 2
@@ -347,6 +354,15 @@ def test_negative_bound_is_a_usage_error(tmp_path, capsys):
                          ids=lambda o: o[0])
 def test_global_options_before_the_command_are_refused(option, capsys):
     assert run_command(option + ["burnside", "--degree", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert option[0] in err and "after the command" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["burnside", "--help"]])
+def test_help_is_printed_and_exits_0(argv, capsys):
+    assert run_command(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qeslab") and captured.err == ""
 
 
 def test_global_options_after_the_command_are_read(tmp_path, capsys):

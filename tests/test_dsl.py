@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qeslab.dsl import (EvalContext, Gen, Num, ParseError, Pow, Prod, Sum, Sym,
-                        evaluate, operator_to_dsl, parse_operator, print_ast)
+from qeslab.dsl import (MAX_EXPONENT, EvalContext, Gen, Num, ParseError, Pow, Prod, Sum,
+                        Sym, evaluate, operator_to_dsl, parse_operator, print_ast)
 from qeslab.operators import LinOperator
 from qeslab.reps import RepSpec
 from qeslab.scalars import QParam, Scalar
@@ -51,6 +51,13 @@ def test_error_positions_are_one_based():
         parse_operator("(x + 1")
     with pytest.raises(ParseError):
         parse_operator("x^-2")          # negative powers rejected
+
+
+def test_exponent_is_bounded():
+    assert parse_operator(f"x^{MAX_EXPONENT}") == Pow(Sym("x"), MAX_EXPONENT)
+    with pytest.raises(ParseError) as err:
+        parse_operator(f"x +\n y^{MAX_EXPONENT + 1}")
+    assert (err.value.line, err.value.col) == (2, 4)
 
 
 def test_unknown_symbol():

@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qeslab
 from qeslab.classify import CoeffAssignment
 from qeslab.operators import OpContext
 from qeslab.poly import Poly
@@ -32,6 +37,33 @@ def test_spectrum_diagonal():
     got = sorted(r.real for r in sp.roots)
     assert max(abs(a - b) for a, b in zip(got, [-1.0, 0.0, 1.0])) < 1e-12
     assert sp.trace_check < 1e-12
+
+
+def _loads_numpy(code: str) -> bool:
+    """Run code in a fresh interpreter on this qeslab: is numpy loaded after?"""
+    src = str(Path(qeslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                          "print('numpy' in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True, timeout=60)
+    return out.stdout.split()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["qeslab", "qeslab.cli"])
+def test_import_does_not_load_numpy(module):
+    # only float roots and the 2x2 example need numpy, and they import it
+    assert not _loads_numpy(f"import {module}")
+
+
+def test_spectrum_loads_numpy():
+    assert _loads_numpy(
+        "from qeslab.reps import RepSpec, make_rep\n"
+        "from qeslab.scalars import Scalar\n"
+        "from qeslab.spaces import SpaceSpec, action_matrix\n"
+        "from qeslab.spectral import spectrum\n"
+        "g = make_rep(RepSpec('sl2', n=Scalar(1)))\n"
+        "spectrum(action_matrix(g.ops['J0'], SpaceSpec('interval', (1,))))")
 
 
 def test_spectrum_frozen_2x2():
