@@ -4,7 +4,8 @@ Grammar (whitespace-insensitive, explicit * only -- products do not commute):
 
     expr   := term (("+"|"-") term)*
     term   := factor ("*" factor)*
-    factor := atom ["^" nat]          (nat at most MAX_EXPONENT)
+    factor := atom ["^" nat]          (nat at most MAX_EXPONENT, and so is the
+                                       product of the exponents along a nest)
     atom   := rational | symbol | generator "[" args "]" | "(" expr ")"
 
 Signed generator names (J+, T-, ...) absorb their sign only when followed by
@@ -30,7 +31,8 @@ SIGNED_NAMES = {"J+", "J-", "T+", "T-", "Jx+", "Jx-", "Jy+", "Jy-"}
 # A power is expanded by repeated composition, so its cost grows with the
 # exponent.  The largest power in the tests and the case catalogue is 6; 32
 # leaves ample room, and (J+ + J-)^32 in sl2 still expands in about a second
-# on one core of a 2-vCPU host.
+# on one core of a 2-vCPU host.  A nest of powers multiplies its exponents, so
+# the product along a nest is held to the same bound.
 MAX_EXPONENT = 32
 
 
@@ -156,6 +158,17 @@ def tokenize(text: str) -> List[Token]:
 
 # -- parser -------------------------------------------------------------------
 
+def _nested_power(node: Node) -> int:
+    """The largest product of the exponents along one nest of ^ in node."""
+    if isinstance(node, Pow):
+        return node.exponent * _nested_power(node.base)
+    if isinstance(node, Prod):
+        return max(map(_nested_power, node.factors))
+    if isinstance(node, Sum):
+        return max(_nested_power(term) for _, term in node.terms)
+    return 1
+
+
 class Parser:
     def __init__(self, toks: List[Token]):
         self.toks = toks
@@ -212,6 +225,11 @@ class Parser:
             power = int(num.text)
             if power > MAX_EXPONENT:
                 raise ParseError(f"exponent {power} is above the largest "
+                                 f"allowed power {MAX_EXPONENT}", num.line, num.col)
+            inner = _nested_power(base)
+            if power * inner > MAX_EXPONENT:
+                raise ParseError(f"exponent {power} on a base that nests power {inner} "
+                                 f"makes power {power * inner}, above the largest "
                                  f"allowed power {MAX_EXPONENT}", num.line, num.col)
             self.next()
             return Pow(base, power)

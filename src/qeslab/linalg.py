@@ -1,18 +1,23 @@
 """Exact linear algebra over Scalar entries, computed on Python ints.
 
 Rank is Bareiss elimination on denominator-cleared ints (each ``//`` is exact).
+The RREF, and so the nullspace, is Gauss-Jordan on the same ints: a row update
+p*row - f*top is divided by its content, so each row stays an int multiple of
+its reduced row, and only the nullspace basis entries become Fractions.  The
+RREF is unique, so the basis is the one Gauss-Jordan on Fractions would give.
 charpoly(M), d the common denominator of M, is the Hessenberg recurrence
 (Cohen, Alg. 2.2.9) on A = d*M modulo a Mersenne prime P > 2B, where B =
 2**n * prod_i max(1, |row_i of A|) bounds each coefficient c_k of det(tI - A):
 c_k sums C(n, k) principal minors, each at most the product of its row norms
 (Hadamard).  So the symmetric residue is c_k itself, and c_k / d**k is exact.
-Gaussian entries, or a B beyond the table, run the same loop over Scalars.
+Gaussian entries (and, for charpoly, a B beyond the table) run the same
+loops over Scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import List, Sequence, Tuple
 
 from .scalars import ONE, Scalar, ZERO
@@ -56,12 +61,32 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return r if _is_rational(rows) else r // 2
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, List[int]]:
-    """Reduced row echelon form and pivot columns: Gauss-Jordan on Fractions of
-    the cleared rows (rows scaled, same form) or on Scalars if Gaussian."""
-    ints = _cleared_int_rows(rows)[0]
-    m = ([[Fraction(x) for x in row] for row in ints] if _is_rational(rows)
-         else [list(row) for row in rows])
+def _int_rref(ints: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Gauss-Jordan on int rows: each update p*row - f*top is divided by its
+    content, so row r is its reduced row times its pivot entry."""
+    m = [row for row in ints if any(row)]
+    pivots: List[int] = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != r:
+                new = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+def _scalar_rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[Matrix, List[int]]:
+    """Gauss-Jordan over Scalars: the Gaussian case."""
+    m = [list(row) for row in rows]
     pivots: List[int] = []
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -76,22 +101,42 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, List[int]]:
             if i != r and f != 0:
                 m[i] = [a - f * b for a, b in zip(row, top)]
         pivots.append(col)
-    return [[Scalar(c) for c in row] for row in m], pivots
+    return m, pivots
+
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, List[int]]:
+    """Reduced row echelon form and pivot columns: the int Gauss-Jordan of the
+    cleared rows divided out, or Gauss-Jordan on Scalars if Gaussian."""
+    ints = _cleared_int_rows(rows)[0]          # refuses a ragged matrix
+    if not _is_rational(rows):
+        return _scalar_rref(rows)
+    m, pivots = _int_rref(ints)
+    out = [[Scalar(Fraction(x, row[p])) if x else ZERO for x in row]
+           for row, p in zip(m, pivots)]
+    return out + [[ZERO] * len(rows[0]) for _ in range(len(rows) - len(out))], pivots
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> List[List[Scalar]]:
-    """Basis of the right nullspace; the empty matrix has full nullspace."""
+    """Basis of the right nullspace, one vector per free column of the RREF;
+    the empty matrix has full nullspace."""
+    width = len(rows[0]) if rows else (ncols or 0)
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [[ONE if j == i else ZERO for j in range(ncols)] for i in range(ncols)]
-    m, pivots = rref(rows)
+        ncols = width
+    ints = _cleared_int_rows(rows)[0]          # refuses a ragged matrix first
+    if width != ncols:
+        raise ValueError(f"nullspace of {width}-column rows with ncols={ncols}")
+    rational = _is_rational(rows)
+    m, pivots = _int_rref(ints) if rational else _scalar_rref(rows)
+    pivot_set = set(pivots)
     basis = []
-    for f in (j for j in range(ncols) if j not in pivots):
+    for f in (j for j in range(ncols) if j not in pivot_set):
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -m[r][f]
+        for row, p in zip(m, pivots):
+            if rational:
+                v[p] = Scalar(Fraction(-row[f], row[p])) if row[f] else ZERO
+            else:
+                v[p] = -row[f]
         basis.append(v)
     return basis
 

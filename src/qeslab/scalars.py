@@ -2,7 +2,11 @@
 
 Every coefficient in the library is a :class:`Scalar` -- a Gaussian rational
 a + b*i with exact Fraction parts.  Plain rationals are the b == 0 case and
-compare equal to them, so the two variants share one type.  Deformation
+compare equal to them, so the two variants share one type.  Invariant: ``.re``
+and ``.im`` are always of type Fraction (never int, float or a subclass), so
+equal Scalars hash alike and a rational one hashes as its Fraction.  The
+constructor converts its input to establish this; arithmetic results, whose
+parts are Fractions already, skip the conversion.  Deformation
 parameters live in :class:`QParam`, which also fixes the base convention for
 q-numbers: the one-variable difference calculus shifts arguments by q, the
 identity catalogue (A-series) shifts by q**2.
@@ -27,12 +31,18 @@ class Scalar:
 
     def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
         if isinstance(re, Scalar):
-            assert im == 0
+            if im != 0:
+                raise ValueError(f"Scalar({re}, {im}): a Scalar real part takes no "
+                                 "imaginary part")
             self.re: Fraction = re.re
             self.im: Fraction = re.im
-        else:
-            self.re = Fraction(re)
-            self.im = Fraction(im) if not isinstance(im, Scalar) else im.re
+            return
+        if isinstance(im, Scalar):
+            if im.im:
+                raise ValueError(f"Scalar({re}, {im}): the imaginary part must be rational")
+            im = im.re
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     # -- constructors -------------------------------------------------
 
@@ -64,27 +74,31 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        o = other if isinstance(other, Scalar) else Scalar(other)
+        if not self.im and not o.im:
+            return _scalar(self.re + o.re, _FZERO)
+        return _scalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im if self.im else _FZERO)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        o = other if isinstance(other, Scalar) else Scalar(other)
+        if not self.im and not o.im:
+            return _scalar(self.re - o.re, _FZERO)
+        return _scalar(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) - self
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
+        o = other if isinstance(other, Scalar) else Scalar(other)
         if not self.im and not o.im:
-            return Scalar(self.re * o.re)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+            return _scalar(self.re * o.re, _FZERO)
+        return _scalar(self.re * o.re - self.im * o.im,
+                       self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -92,9 +106,9 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         if not self.im:
-            return Scalar(1 / self.re)
+            return _scalar(1 / self.re, _FZERO)
         n = self.re * self.re + self.im * self.im
-        return Scalar(self.re / n, -self.im / n)
+        return _scalar(self.re / n, -self.im / n)
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         return self * Scalar.of(other).inv()
@@ -105,7 +119,7 @@ class Scalar:
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
             return self.inv() ** (-k)
-        out, base = Scalar(1), self
+        out, base = ONE, self
         while k:
             if k & 1:
                 out = out * base
@@ -117,7 +131,7 @@ class Scalar:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
+            return not self.im and self.re == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -141,6 +155,17 @@ class Scalar:
         re = str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{re}{sign}{abs(self.im)}*i"
+
+
+_FZERO = Fraction(0)
+
+
+def _scalar(re: Fraction, im: Fraction) -> Scalar:
+    """A Scalar from parts that are already Fractions, without converting them."""
+    s = object.__new__(Scalar)
+    s.re = re
+    s.im = im
+    return s
 
 
 ZERO = Scalar(0)

@@ -83,6 +83,7 @@ def test_usage_error_exit_code(capsys):
     ["parse", "--op", "J+[2]", "--algebra", "sl2q", "--n", "1", "--q", "-1"],
     ["parse", "--op", "x^99999999", "--vars", "x"],
     ["parse", "--op", "x^" + "9" * 5000, "--vars", "x"],
+    ["parse", "--op", "((x+Dx)^32)^32", "--vars", "x"],
     ["parse", "--op", "J+[1/0]", "--algebra", "sl2", "--n", "2"],
     ["parse", "--op", "x^\u00b2", "--vars", "x"],
     ["burnside", "--degree", "abc"],

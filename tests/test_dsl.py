@@ -60,6 +60,14 @@ def test_exponent_is_bounded():
     assert (err.value.line, err.value.col) == (2, 4)
 
 
+def test_nested_exponents_are_bounded_by_their_product():
+    assert parse_operator("((x+Dx)^2)^3") == Pow(Pow(Sum(((1, Sym("x")), (1, Sym("Dx")))), 2), 3)
+    assert parse_operator("((x^4)^2*y)^4") is not None           # 4 * 2 * 4 = 32
+    for text in ("((x+Dx)^32)^32", "((x^2)^4)^5", "(y + x^17)^2"):
+        with pytest.raises(ParseError, match="above the largest allowed power"):
+            parse_operator(text)
+
+
 def test_unknown_symbol():
     with pytest.raises(ParseError):
         evaluate(parse_operator("w*Dx"), ENV)
@@ -73,6 +81,17 @@ def test_jackson_derivative_symbol():
         evaluate(parse_operator("Dx"), env)    # continuous symbol in difference calculus
 
 
+def _nest_power(ast):
+    """The largest product of the exponents along one nest of ^."""
+    if isinstance(ast, Pow):
+        return ast.exponent * _nest_power(ast.base)
+    if isinstance(ast, Prod):
+        return max(_nest_power(f) for f in ast.factors)
+    if isinstance(ast, Sum):
+        return max(_nest_power(t) for _, t in ast.terms)
+    return 1
+
+
 def _rand_ast(rng, depth=0):
     r = rng.random()
     if depth > 3 or r < 0.3:
@@ -81,8 +100,9 @@ def _rand_ast(rng, depth=0):
             Sym("x"), Sym("Dx"), Sym("T0"),
             Gen("J+", Fraction(rng.randint(0, 5))),
         ])
-    if r < 0.5:
-        return Pow(_rand_ast(rng, depth + 1), rng.randint(0, 4))
+    if r < 0.5:                 # a nest may multiply its exponents up to the bound
+        base = _rand_ast(rng, depth + 1)
+        return Pow(base, min(rng.randint(0, 4), MAX_EXPONENT // max(_nest_power(base), 1)))
     if r < 0.75:
         return Prod(tuple(_rand_ast(rng, depth + 1)
                           for _ in range(rng.randint(2, 3))))

@@ -1,6 +1,7 @@
 """Seeded differential tests of the exact kernels against test-local references:
-rank by plain Gauss-Jordan, det(tI - M) by Bareiss elimination at n + 1
-points, and nullspace vectors multiplied back out."""
+rank, RREF and nullspace basis by plain Gauss-Jordan on Fractions, det(tI - M)
+by Bareiss elimination at n + 1 points, and nullspace vectors multiplied back
+out."""
 
 import random
 from fractions import Fraction
@@ -21,21 +22,44 @@ def _field(rows):
     return [list(row) for row in rows]
 
 
-def ref_rank(rows):
+def ref_rref(rows):
+    """Gauss-Jordan over the field of the entries: the RREF (zero rows last)
+    and its pivot columns."""
     m = _field(rows)
-    r = 0
+    pivots = []
     for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][col]
+        m[r] = [c * inv for c in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col] != 0:
-                f = m[i][col] * inv
+                f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+        pivots.append(col)
+    return m, pivots
+
+
+def ref_rank(rows):
+    return len(ref_rref(rows)[1])
+
+
+def ref_nullspace(rows):
+    """One vector per free column: 1 there, minus that column of the RREF at
+    the pivots, 0 elsewhere."""
+    m, pivots = ref_rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f]
+        basis.append([Scalar.of(c) for c in v])
+    return basis
 
 
 def ref_det(m):
@@ -176,6 +200,34 @@ def test_rref_is_reduced_and_spans_the_rows():
                                                     for i in range(len(m))]
 
 
+def rref_cases():
+    rng = random.Random(6)
+    out = [rand_matrix(rng, 5, 9), rand_matrix(rng, 9, 4)]                   # wide, tall
+    m = rand_matrix(rng, 7, 6)                                               # zero rows
+    m[0] = m[5] = [ZERO] * 6
+    out.append(m)
+    m = rand_matrix(rng, 6, 7)                                               # repeated rows
+    m[2], m[4], m[5] = m[0], [c * Scalar(Fraction(-3, 5)) for c in m[0]], m[1]
+    out.append(m)
+    out.append(mat_prod(rand_matrix(rng, 8, 3, zero_share=0), rand_matrix(rng, 3, 10)))
+    out.append([[Scalar(Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 12 + 39)))
+                 for _ in range(7)] for _ in range(4)])                      # large entries
+    out.append(mat_prod(rand_matrix(rng, 5, 2, gaussian=True, zero_share=0),
+                        rand_matrix(rng, 2, 6, gaussian=True)))              # Gaussian
+    return out
+
+
+@pytest.mark.parametrize("rows", [pytest.param(m, id=str(i)) for i, m in enumerate(rref_cases())])
+def test_nullspace_and_rref_are_the_fraction_gauss_jordan_ones(rows):
+    """The basis is exactly the RREF one, vector for vector: the case oracle
+    draws its trials from these vectors."""
+    basis = nullspace(rows)
+    assert basis == ref_nullspace(rows)
+    assert all(type(c.re) is Fraction and type(c.im) is Fraction for v in basis for c in v)
+    m, pivots = ref_rref(rows)
+    assert rref(rows) == ([[Scalar.of(c) for c in row] for row in m], pivots)
+
+
 def test_bad_shapes_raise_value_error():
     with pytest.raises(ValueError, match="2x3"):
         charpoly([[ONE, ZERO, ONE], [ZERO, ONE, ONE]])
@@ -183,3 +235,7 @@ def test_bad_shapes_raise_value_error():
     for fn in (rank, nullspace, charpoly):
         with pytest.raises(ValueError, match="ragged"):
             fn(ragged)
+    with pytest.raises(ValueError, match="2-column rows with ncols=3"):
+        nullspace([[ONE, Scalar(2)]], ncols=3)
+    with pytest.raises(ValueError, match="3-column rows with ncols=2"):
+        nullspace([[ONE, Scalar(2), ZERO]], ncols=2)

@@ -22,6 +22,45 @@ def test_rational_gaussian_equality():
     assert Scalar(1, 1) != Scalar(1)
 
 
+def test_gaussian_parts_are_refused():
+    with pytest.raises(ValueError, match="imaginary part must be rational"):
+        Scalar(1, Scalar(0, 1))
+    with pytest.raises(ValueError, match="takes no imaginary part"):
+        Scalar(Scalar(1, 2), 3)
+    assert Scalar(1, Scalar(2)) == Scalar(1, 2)          # a rational Scalar part
+    assert Scalar(Scalar(1, 2)) == Scalar(Scalar(1, 2), 0) == Scalar(1, 2)
+
+
+SELVES = [Scalar(Fraction(-3, 4)), Scalar(5), Scalar(2, Fraction(1, 3)), Scalar(0, -1),
+          Scalar(0)]
+OPERANDS = [3, 0, Fraction(-2, 7), Scalar(Fraction(5, 3)), Scalar(Fraction(1, 2), -4),
+            Scalar(0, Fraction(2, 9))]
+
+
+def _results(a, b):
+    out = [a + b, b + a, a - b, b - a, a * b, b * a, -a, a ** 0, a ** 3]
+    if not Scalar.of(b).is_zero():
+        out.append(a / b)
+    if not a.is_zero():
+        out += [b / a, a.inv(), a ** -2]
+    return out
+
+
+@pytest.mark.parametrize("a", SELVES, ids=str)
+@pytest.mark.parametrize("b", OPERANDS, ids=str)
+def test_results_have_fraction_parts(a, b):
+    """Arithmetic skips the constructor's conversion, so check that every
+    result still has exact Fraction parts and hashes like its equals."""
+    for r in _results(a, b):
+        assert type(r) is Scalar and type(r.re) is Fraction and type(r.im) is Fraction
+        assert r == Scalar(Fraction(r.re), Fraction(r.im))
+        assert hash(r) == hash(Scalar(Fraction(r.re), Fraction(r.im)))
+        if r.is_rational():
+            assert r == r.re and hash(r) == hash(r.re)
+            if r.re.denominator == 1:
+                assert r == int(r.re) and hash(r) == hash(int(r.re))
+
+
 def test_parse_round_trip():
     for text in ("3/4", "-2", "0", "1/2+3/5*i", "-1/2-3*i", "2*i"):
         s = Scalar.parse(text)
