@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -37,6 +38,7 @@ from .spectral import (build_matrix_example, matrix_example_residuals,
                        sextic_potential, sextic_reduction, spectrum)
 
 SCHEMA = 1
+MAX_GRID_NODES = 100_000    # z nodes of one `qeslab reduce` grid
 
 
 class UsageError(ValueError):
@@ -259,6 +261,20 @@ def cmd_spectrum(args) -> int:
                 payload, sp.trace_check < 1e-9)
 
 
+def _check_grid_ends(n: int, k: int, a: Fraction, b: Fraction, ends: List[float]) -> None:
+    """Reduce on the grid's two end nodes alone, where its samples are
+    largest: a domain or sample beyond the float range, or a node at x = 0,
+    is a usage error."""
+    with _bad_input(f"bad z grid [{ends[0]!r}, {ends[-1]!r}]"):
+        try:
+            red, _ = sextic_reduction(n, k, a, b, ends)
+            samples = red.potential + red.gauge + sextic_potential(n, k, a, b, ends)
+        except OverflowError as e:
+            raise ValueError(f"it overflows a float ({e})") from e
+        if not all(map(math.isfinite, samples)):
+            raise ValueError("its samples overflow a float")
+
+
 def cmd_reduce(args) -> int:
     with _bad_input(f"bad --sextic {args.sextic!r}"):
         params = dict(kv.split("=") for kv in args.sextic.split(","))
@@ -269,8 +285,11 @@ def cmd_reduce(args) -> int:
     if not (args.spacing > 0 and 0 < args.zmin <= args.zmax < float("inf")):
         raise UsageError("the z grid needs --spacing > 0 and 0 < --zmin <= --zmax, "
                          f"got {args.spacing}, {args.zmin}, {args.zmax}")
-    zgrid = [args.zmin + i * args.spacing
-             for i in range(int((args.zmax - args.zmin) / args.spacing) + 1)]
+    gaps = (args.zmax - args.zmin) / args.spacing
+    if not gaps < MAX_GRID_NODES:
+        raise UsageError(f"the z grid has more than {MAX_GRID_NODES} nodes")
+    _check_grid_ends(n, k, a, b, [args.zmin, args.zmax])
+    zgrid = [args.zmin + i * args.spacing for i in range(int(gaps) + 1)]
     red, act = sextic_reduction(n, k, a, b, zgrid)
     vref = sextic_potential(n, k, a, b, zgrid)
     dev = max(abs(u - v) for u, v in zip(red.potential, vref))

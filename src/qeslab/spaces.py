@@ -4,10 +4,12 @@ A SpaceSpec names a lattice region (interval, spinor pair, triangle,
 rectangle, wedge, simplex); its variables follow from its kind and
 parameters, its basis is enumerated in graded order with the even sector
 first, and the closed-form dimension is cross-checked against the
-enumeration at construction time.  action_matrix takes the image of each
-basis monomial (apply_monomial, of a LinOperator or of an element acting by
-generator walks) and stores it sparse, one {row: entry} column per label
-plus the out-of-space parts; the exact dense matrix is built on first read.
+enumeration at construction time, after the parameters and then the
+dimension are held to MAX_SPACE_SIZE.  action_matrix takes the image of
+each basis monomial (apply_monomial, of a LinOperator or of an element
+acting by generator walks) and stores it sparse, one {row: entry} column
+per label plus the out-of-space parts; the exact dense matrix is built on
+first read.
 This is the one action path: a superalgebra operator acts on a spinor pair
 through its odd variable (the odd row is the theta sector), which is the
 same action as its 2x2 matrix transcription on two-component functions.
@@ -26,6 +28,11 @@ from .scalars import Scalar, ZERO
 
 # basis label: exponent tuple over the space variables, plus the odd flag
 Label = Tuple[Tuple[int, ...], int]
+
+
+# the largest parameter, and the largest dimension, a space may have: far
+# above every space the suites build, and small enough to enumerate at once
+MAX_SPACE_SIZE = 4096
 
 
 class DimensionMismatchError(AssertionError):
@@ -49,7 +56,12 @@ class SpaceSpec:
         if self.params[0] < 0 or any(p < low for p in self.params) or \
                 (self.kind in ("wedge", "simplex") and self.params[0] < 1):
             raise ValueError(f"bad parameters {self.params} for {self.kind}")
-        if dimension(self) != len(self.labels()):
+        if max(self.params) > MAX_SPACE_SIZE:
+            raise ValueError(f"{self} has a parameter above {MAX_SPACE_SIZE}")
+        dim = dimension(self)
+        if dim > MAX_SPACE_SIZE:
+            raise ValueError(f"{self} has dimension {dim}, above {MAX_SPACE_SIZE}")
+        if dim != len(self.labels()):
             raise DimensionMismatchError(str(self))
 
     @property

@@ -6,13 +6,16 @@ matrix.  The scalar reduction maps -P4 f'' + P3 f' + P2 f = eps f to
 -psi'' + V psi = eps psi through z = int dx/sqrt(P4) and the gauge exponent
 A = (1/2) int (P3/P4) dx + (1/4) log P4 (the half in front of the integral is
 forced by eliminating the first-order term; V = A'^2 - A'' + P2 follows).  The
-quartic-family change of variable x = z^2 is special-cased analytically.
-The gauge integral is a prefix sum of 8-point Gauss-Legendre panels over the
-gaps between consecutive sorted nodes, each panel halved until it agrees
-with its halves.  Off the special case, x(z) is solved node after node in z
-order by Newton steps on the exact dz/dx = 1/sqrt(P4), each step one panel
-integral from the node before.  A reduction is linear in the number of grid
-nodes.
+quartic-family case P4 = c*x is closed form throughout: x = c z^2 / 4, and
+the gauge integral is the exact antiderivative (p0/c) log x +
+sum_{k>=1} p_k x^k / (k c) of P3/P4 = sum p_k x^k / (c x), built in
+Fractions, its polynomial part differenced against the reference node by
+exact division.  Off that case the gauge integral is a prefix sum of 8-point
+Gauss-Legendre panels over the gaps between consecutive sorted nodes, each
+panel halved until it agrees with its halves, and x(z) is solved node after
+node in z order by Newton steps on the exact dz/dx = 1/sqrt(P4), each step
+one panel integral from the node before.  A reduction is linear in the
+number of grid nodes.
 
 The 2x2 matrix example reduces with x = y^2 and the gauge factor
 exp(-alpha y^2/4 + i beta y^2 sigma_1/4); the transformed operator is
@@ -296,10 +299,11 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
     """Change of variable z = int dx/sqrt(P4) plus gauge, sampled on a z-grid.
 
     P4 must be positive on the domain interior, and the z grid must be
-    nonempty, with every node in the domain's image [z(lo), z(hi)].  x(z) is
-    closed form for the c*x quartic-family case; otherwise the nodes are
+    nonempty, with every node in the domain's image [z(lo), z(hi)].  For the
+    c*x quartic-family case x(z) and the gauge integral are closed form, and
+    no node may map to x = 0, where P4 vanishes.  Otherwise the nodes are
     solved in z order outward from the domain midpoint (z = 0), each by
-    Newton steps from the node before it.  The gauge integral is a prefix
+    Newton steps from the node before it, and the gauge integral is a prefix
     sum of panel integrals over the gaps between sorted nodes, outward from
     the middle node.  After one sort of the nodes the work is linear in their
     number.
@@ -317,7 +321,8 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
     linear = (p4.degree() == 1 and p4.coefficient_of(p4.vars[0], 0).is_zero()
               and abs(lo) < 1e-12)
     if linear:
-        c = float(p4.coefficient_of(p4.vars[0], 1).constant_value().re)
+        cq = p4.coefficient_of(p4.vars[0], 1).constant_value().re
+        c = float(cq)
         zrange = (0.0, 2.0 * math.sqrt(hi / c))
     else:
         x0 = 0.5 * (lo + hi)
@@ -331,6 +336,9 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
 
     if linear:
         xs = [c * z * z / 4.0 for z in zgrid]
+        if 0.0 in xs:
+            raise ValueError(f"P4 = c*x vanishes at the z node "
+                             f"{zgrid[xs.index(0.0)]!r} (x = 0)")
     else:
         x_at: Dict[float, float] = {}
         for walk, edge in zip(_walks(0.0, zgrid), (hi, lo)):
@@ -342,11 +350,23 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
 
     # gauge exponent A(x) = (1/2) int (P3/P4) + (1/4) log P4
     xref = xs[len(xs) // 2]
-    ratio = lambda t: f3(t) / f4(t)
-    prim = {xref: 0.0}
-    for walk in _walks(xref, xs):
-        for u, v in zip(walk, walk[1:]):
-            prim[v] = prim[u] + panel_integral(ratio, u, v)
+    if linear:
+        # int P3/(c x) = (p0/c) log x + F(x), F = sum_{k>=1} p_k x^k / (k c);
+        # F(x) - F(xref) is (x - xref) Q(x), with Q the exact quotient at the
+        # float xref, so that nodes near xref keep their relative accuracy
+        log_coeff = float(p3.constant_value().re / cq)
+        anti = {e[0]: coef.re / (e[0] * cq) for e, coef in p3.terms.items() if e[0]}
+        xr = Fraction(xref)
+        quot = _poly_fn(Poly(p3.vars, {
+            (j,): sum(v * xr ** (k - 1 - j) for k, v in anti.items() if k > j)
+            for j in range(max(anti, default=0))}))
+        prim = {x: (x - xref) * quot(x) + log_coeff * math.log(x / xref) for x in xs}
+    else:
+        ratio = lambda t: f3(t) / f4(t)
+        prim = {xref: 0.0}
+        for walk in _walks(xref, xs):
+            for u, v in zip(walk, walk[1:]):
+                prim[v] = prim[u] + panel_integral(ratio, u, v)
     gauge = [0.5 * prim[x] + 0.25 * math.log(f4(x)) for x in xs]
 
     # V = B^2 - A''(z) + P2, all exact rational functions of x
@@ -355,9 +375,10 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
     f3p = _poly_fn(_dpoly(p3))
 
     def v_at(x: float) -> float:
-        g = f3(x) / 2.0 + f4p(x) / 4.0
-        return (g * g / f4(x) - (f3p(x) / 2.0 + f4pp(x) / 4.0)
-                + g * f4p(x) / (2.0 * f4(x)) + f2(x))
+        q4, q4p = f4(x), f4p(x)
+        g = f3(x) / 2.0 + q4p / 4.0
+        return (g * g / q4 - (f3p(x) / 2.0 + f4pp(x) / 4.0)
+                + g * q4p / (2.0 * q4) + f2(x))
 
     pot = [v_at(x) for x in xs]
     # the residual's five-point stencil needs >= 5 strictly ascending, even gaps

@@ -62,6 +62,13 @@ def test_usage_error_exit_code(capsys):
     ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmin", "0"],
     ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmin=-1"],
     ["reduce", "--sextic", "n=1,k=0,a=1,b=0", "--zmax", "0.05"],
+    ["reduce", "--sextic", "n=2,k=0,a=1,b=1", "--zmax", "1e200", "--spacing", "1e199"],
+    ["reduce", "--sextic", "n=2,k=0,a=1,b=1", "--zmin", "1e60", "--zmax", "1e60"],
+    ["reduce", "--sextic", "n=2,k=0,a=1,b=1", "--spacing", "1e-9"],
+    ["reduce", "--sextic", "n=2,k=0,a=1,b=1", "--zmin", "1e40", "--zmax", "1e40"],
+    ["reduce", "--sextic", "n=2,k=0,a=1,b=1", "--zmin", "1e-200"],
+    ["invariance", "--algebra", "sl2", "--n", "2", "--op", "J+", "--space", "int:200000"],
+    ["invariance", "--algebra", "sl2", "--n", "2", "--op", "J+", "--space", "simplex:40,40"],
     ["burnside", "--degree", "0"],
     ["burnside", "--degree", "-1"],
     ["identity", "--id", "A2", "--n", "-3"],

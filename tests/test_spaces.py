@@ -8,8 +8,8 @@ from qeslab.operators import LinOperator, OpContext, to_matrix_operator
 from qeslab.poly import Poly
 from qeslab.reps import RepSpec, make_rep, root_of_unity_generators
 from qeslab.scalars import ONE, QParam, Scalar
-from qeslab.spaces import (DimensionMismatchError, SpaceSpec, action_matrix,
-                           dimension, flag_actions, parse_space)
+from qeslab.spaces import (MAX_SPACE_SIZE, DimensionMismatchError, SpaceSpec,
+                           action_matrix, dimension, flag_actions, parse_space)
 
 
 def test_dimension_examples():
@@ -172,6 +172,26 @@ def test_spinor_action_matches_the_matrix_reference():
                 assert res.matrix == matrix, (op, s)
                 got = {(e.source, e.monomial): e.coeff for e in res.escapes}
                 assert len(got) == len(res.escapes) and got == escapes, (op, s)
+
+
+@pytest.mark.parametrize("kind,params,what", [
+    ("interval", (MAX_SPACE_SIZE + 1,), "a parameter above"),
+    ("wedge", (1, 10 ** 9), "a parameter above"),
+    ("triangle", (90,), "dimension 4186, above"),
+    ("simplex", (40, 40), "dimension [0-9]+, above"),
+    ("rectangle", (64, 64), "dimension 4225, above"),
+])
+def test_space_size_is_bounded_before_enumeration(kind, params, what, monkeypatch):
+    def boom(self):
+        raise AssertionError("the basis was enumerated")
+    monkeypatch.setattr(SpaceSpec, "labels", boom)
+    with pytest.raises(ValueError, match=what):
+        SpaceSpec(kind, params)
+
+
+def test_spaces_up_to_the_size_bound_are_built():
+    assert len(SpaceSpec("interval", (MAX_SPACE_SIZE - 1,)).labels()) == MAX_SPACE_SIZE
+    assert len(SpaceSpec("rectangle", (63, 63)).labels()) == MAX_SPACE_SIZE
 
 
 def test_parse_space():

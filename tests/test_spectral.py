@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import random
@@ -248,6 +249,48 @@ def test_reduction_does_not_call_adaptive_simpson(monkeypatch):
     sextic_reduction(1, 0, 1, 0, ZGRID)
     reduce_to_schrodinger(*_curved_polys(1, 0), (-2.0, 2.0),
                           zgrid=[-0.8 + i * 1.6 / 288 for i in range(289)])
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """bench/workloads.py, imported without writing bytecode under bench/."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(bench))
+    sys.dont_write_bytecode = True
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+
+
+def test_linear_gauge_is_the_closed_form_without_quadrature(workloads, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("panel_integral called")
+    monkeypatch.setattr(spectral, "panel_integral", boom)
+    rng = random.Random(20240901)               # criterion 06's members
+    members = [(n, k, Fraction(rng.randint(1, 4), rng.choice([1, 2])))
+               + (Fraction(rng.randint(-4, 4)),) for n in (1, 2, 3) for k in (0, 1)]
+    members += [(n, k, a, Fraction(b)) for n, k, a in workloads.SEXTIC_SLOTS
+                for b in (-1, 0, 1)]
+    for n, k, a, b in members:
+        red, act = sextic_reduction(n, k, a, b, ZGRID)
+        _, gauge = workloads.sextic_reference(n, k, a, b, ZGRID)
+        assert act.preserved
+        assert max(abs(u - v) for u, v in zip(red.gauge, gauge)) < 1e-12, (n, k, a, b)
+
+
+@pytest.mark.parametrize("zs,bad", [
+    ([0.0, 0.1, 0.2, 0.3, 0.4], 0.0),
+    ([0.2, 1e-200], 1e-200),                # c z^2 / 4 underflows to 0
+])
+def test_linear_reduction_refuses_a_node_at_x_zero(zs, bad, monkeypatch):
+    def boom(*args):
+        raise AssertionError("the gauge was integrated")
+    monkeypatch.setattr(spectral.math, "log", boom)
+    with pytest.raises(ValueError, match=rf"P4 = c\*x vanishes at the z node {bad!r} \(x = 0\)"):
+        sextic_reduction(2, 0, 1, 1, zs)
 
 
 def test_reduce_trivial_identity_change():
