@@ -1,17 +1,20 @@
 """Exact linear algebra over Scalar entries, computed on Python ints.
 
-Rank is Bareiss elimination on denominator-cleared ints (each ``//`` is exact).
-The RREF, and so the nullspace, is Gauss-Jordan on the same ints: a row update
-p*row - f*top is divided by its content, so each row stays an int multiple of
-its reduced row, and only the nullspace basis entries become Fractions.  The
-RREF is unique, so the basis is the one Gauss-Jordan on Fractions would give.
+Rank, RREF and nullspace all read one elimination: Gauss-Jordan on the
+denominator-cleared int rows, where a row update p*row - f*top is divided by
+its content, so each row stays an int multiple of its reduced row, and only
+the RREF and nullspace entries become Fractions.  The RREF is unique, so the
+basis is the one Gauss-Jordan on Fractions would give.  A Gaussian matrix
+runs as its real form, each entry a + ib the block [[a, -b], [b, a]] at
+columns 2j and 2j + 1: its pivots come in pairs, and the even ones and their
+rows are the Gaussian RREF.
 charpoly(M), d the common denominator of M, is the Hessenberg recurrence
 (Cohen, Alg. 2.2.9) on A = d*M modulo a Mersenne prime P > 2B, where B =
 2**n * prod_i max(1, |row_i of A|) bounds each coefficient c_k of det(tI - A):
 c_k sums C(n, k) principal minors, each at most the product of its row norms
 (Hadamard).  So the symmetric residue is c_k itself, and c_k / d**k is exact.
-Gaussian entries (and, for charpoly, a B beyond the table) run the same
-loops over Scalars.
+A Gaussian matrix, or a B beyond the table, runs the same recurrence over
+Scalars.
 """
 
 from __future__ import annotations
@@ -33,32 +36,16 @@ def _is_rational(rows: Sequence[Sequence[Scalar]]) -> bool:
 
 def _cleared_int_rows(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[int]], List[int]]:
     """Each row times the lcm of its denominators, as ints, and those lcms; a
-    Gaussian A + iB comes back as its real form [[A, -B], [B, A]]."""
+    Gaussian matrix comes back as its real form, each entry a + ib the block
+    [[a, -b], [b, a]] at columns 2j and 2j + 1."""
     if len({len(row) for row in rows}) > 1:
         raise ValueError(f"ragged matrix: row lengths {sorted({len(row) for row in rows})}")
     parts = [[c.re for c in row] for row in rows]
     if not _is_rational(rows):
-        parts = [half for row in rows for half in ([c.re for c in row] + [-c.im for c in row],
-                                                   [c.im for c in row] + [c.re for c in row])]
+        parts = [half for row in rows for half in ([x for c in row for x in (c.re, -c.im)],
+                                                   [x for c in row for x in (c.im, c.re)])]
     dens = [lcm(*(c.denominator for c in row)) for row in parts]
     return [[c.numerator * (d // c.denominator) for c in row] for row, d in zip(parts, dens)], dens
-
-
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank by Bareiss elimination (half the real form's, if Gaussian)."""
-    m = [row for row in _cleared_int_rows(rows)[0] if any(row)]
-    r, prev = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        piv = next((i for i, row in enumerate(m) if row[col]), None)
-        if piv is None:
-            continue
-        top = m.pop(piv)
-        p = top[col]
-        m = [new for new in ([(p * x - row[col] * y) // prev for x, y in zip(row, top)]
-                             for row in m) if any(new)]
-        prev = p
-        r += 1
-    return r if _is_rational(rows) else r // 2
 
 
 def _int_rref(ints: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
@@ -84,35 +71,30 @@ def _int_rref(ints: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     return m[:len(pivots)], pivots
 
 
-def _scalar_rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[Matrix, List[int]]:
-    """Gauss-Jordan over Scalars: the Gaussian case."""
-    m = [list(row) for row in rows]
-    pivots: List[int] = []
-    for col in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        top = m[r] = [c * inv for c in m[r]]
-        for i, row in enumerate(m):
-            f = row[col]
-            if i != r and f != 0:
-                m[i] = [a - f * b for a, b in zip(row, top)]
-        pivots.append(col)
-    return m, pivots
+def _gaussian_rref(m: List[List[int]], pivots: List[int]) -> Tuple[Matrix, List[int]]:
+    """The Gaussian RREF read off the real form's: column 2j + 1 is i times
+    column 2j, so pivots come in pairs, real pivot 2p is Gaussian pivot p, and
+    its row holds column j as (row[2j] - i*row[2j + 1]) / row[2p]."""
+    return ([[Scalar(Fraction(row[j], row[p]), Fraction(-row[j + 1], row[p]))
+              for j in range(0, len(row), 2)] for row, p in zip(m[::2], pivots[::2])],
+            [p // 2 for p in pivots[::2]])
+
+
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank: the pivots of the int Gauss-Jordan (half the real form's, if Gaussian)."""
+    pivots = _int_rref(_cleared_int_rows(rows)[0])[1]
+    return len(pivots) if _is_rational(rows) else len(pivots) // 2
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, List[int]]:
     """Reduced row echelon form and pivot columns: the int Gauss-Jordan of the
-    cleared rows divided out, or Gauss-Jordan on Scalars if Gaussian."""
-    ints = _cleared_int_rows(rows)[0]          # refuses a ragged matrix
-    if not _is_rational(rows):
-        return _scalar_rref(rows)
-    m, pivots = _int_rref(ints)
-    out = [[Scalar(Fraction(x, row[p])) if x else ZERO for x in row]
-           for row, p in zip(m, pivots)]
+    cleared rows (of the real form, if Gaussian) divided out."""
+    m, pivots = _int_rref(_cleared_int_rows(rows)[0])      # refuses a ragged matrix
+    if _is_rational(rows):
+        out = [[Scalar(Fraction(x, row[p])) if x else ZERO for x in row]
+               for row, p in zip(m, pivots)]
+    else:
+        out, pivots = _gaussian_rref(m, pivots)
     return out + [[ZERO] * len(rows[0]) for _ in range(len(rows) - len(out))], pivots
 
 
@@ -125,8 +107,10 @@ def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> Lis
     ints = _cleared_int_rows(rows)[0]          # refuses a ragged matrix first
     if width != ncols:
         raise ValueError(f"nullspace of {width}-column rows with ncols={ncols}")
+    m, pivots = _int_rref(ints)
     rational = _is_rational(rows)
-    m, pivots = _int_rref(ints) if rational else _scalar_rref(rows)
+    if not rational:
+        m, pivots = _gaussian_rref(m, pivots)
     pivot_set = set(pivots)
     basis = []
     for f in (j for j in range(ncols) if j not in pivot_set):

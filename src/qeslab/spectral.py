@@ -18,10 +18,13 @@ one panel integral from the node before.  A reduction is linear in the
 number of grid nodes.
 
 The 2x2 matrix example reduces with x = y^2 and the gauge factor
-exp(-alpha y^2/4 + i beta y^2 sigma_1/4); the transformed operator is
-computed by exact conjugation, which both certifies the -1/2 d^2/dy^2 form
-and yields the potential actually driving the residual checks.  The
-catalogued closed-form potential is sampled alongside for comparison; it
+U = exp(-alpha y^2/4 + i beta y^2 sigma_1/4).  Its exact d_x^2 block is -2x
+times the identity (tests/test_spectral.py checks it), so with x = y^2 the
+second-order part is -1/2 d^2/dy^2, which the scalar-times-identity symbol
+keeps under conjugation by U.  The potential that drives the residual checks
+is that conjugation of the lower-order blocks, evaluated in floats at each
+sample with analytic derivatives of U^-1.  The catalogued closed-form
+potential is sampled alongside for comparison; it
 carries one sign slip in its sigma_2 bracket and omits the constant
 reference shift -n*alpha/2, so the derived potential is authoritative here.
 """

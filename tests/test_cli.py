@@ -181,6 +181,14 @@ REPORT_DIGESTS = {
         "725bf444debe721d65cd8539b4993ec3effeec9d03c349d329106d7a12d67384",
     ("burnside", "--degree", "4"):
         "00ea4e9081aa48a6e482e8502ba26656909fbfd3205f3ea04953b86c6a263377",
+    # the count reports, each count one exact rank; the Gaussian n runs the
+    # Gaussian rank and, through preserving_family, the Gaussian nullspace
+    ("verify", "--suite", "params"):
+        "39c7ac9ec7daeeffe5e7542b8e8d15fbbfdcc68f92c9613d9e808ce459cae254",
+    ("verify", "--suite", "cases"):
+        "0b28af7f320ed489bd66b366281fd95d4b070723cb3de0d1a1a072f81b31d81c",
+    ("param-count", "--algebra", "osp22", "--n", "7/2+1*i", "--variant", "exact", "--matrix"):
+        "e9b161c0377286c6321d22e4b5c2173696bfcbb6adbec87a3973833dc0eb476c",
 }
 
 

@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+from qeslab import linalg
 from qeslab.linalg import charpoly, eval_poly, nullspace, rank, rref
 from qeslab.scalars import ONE, Scalar, ZERO
 
@@ -214,6 +215,14 @@ def rref_cases():
                  for _ in range(7)] for _ in range(4)])                      # large entries
     out.append(mat_prod(rand_matrix(rng, 5, 2, gaussian=True, zero_share=0),
                         rand_matrix(rng, 2, 6, gaussian=True)))              # Gaussian
+    m = [[Scalar(0, rng.randint(-5, 5)) for _ in range(6)] for _ in range(4)]
+    m.append([a * Scalar(Fraction(-3, 2)) + b for a, b in zip(m[1], m[2])])  # imaginary, rank 4
+    out.append(m)
+    m = rand_matrix(rng, 8, 3, gaussian=True)                                # Gaussian, tall,
+    m[0] = m[3] = m[6] = [ZERO] * 3                                          # zero rows
+    out.append(m)
+    out.append(mat_prod(rand_matrix(rng, 6, 2, gaussian=True, den=10 ** 12 + 39, zero_share=0),
+                        rand_matrix(rng, 2, 7, gaussian=True, den=10 ** 12 + 39)))  # rank 2
     return out
 
 
@@ -226,6 +235,24 @@ def test_nullspace_and_rref_are_the_fraction_gauss_jordan_ones(rows):
     assert all(type(c.re) is Fraction and type(c.im) is Fraction for v in basis for c in v)
     m, pivots = ref_rref(rows)
     assert rref(rows) == ([[Scalar.of(c) for c in row] for row in m], pivots)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_rank_rref_and_nullspace_each_run_the_int_gauss_jordan_once(gaussian, monkeypatch):
+    calls = []
+    kernel = linalg._int_rref
+
+    def counted(ints):
+        calls.append(len(ints))
+        return kernel(ints)
+
+    monkeypatch.setattr(linalg, "_int_rref", counted)
+    rng = random.Random(7)
+    rows = mat_prod(rand_matrix(rng, 5, 3, gaussian, zero_share=0), rand_matrix(rng, 3, 6, gaussian))
+    for fn in (rank, rref, nullspace):
+        calls.clear()
+        fn(rows)
+        assert calls == [10 if gaussian else 5], fn.__name__   # the real form has twice the rows
 
 
 def test_bad_shapes_raise_value_error():

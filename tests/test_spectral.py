@@ -12,7 +12,7 @@ import pytest
 
 import qeslab
 from qeslab.classify import CoeffAssignment
-from qeslab.operators import OpContext
+from qeslab.operators import OpContext, to_matrix_operator
 from qeslab.poly import Poly
 from qeslab.reps import RepSpec
 from qeslab.scalars import Scalar
@@ -21,8 +21,8 @@ from qeslab import spectral
 from qeslab.spectral import (GAUSS_LEGENDRE_8, NonSquareError, adaptive_simpson,
                              build_matrix_example, build_sextic,
                              eigenlaw_check, exact_rational_eigenvalues,
-                             matrix_example_residuals, operator_p_coeffs,
-                             panel_integral, reduce_to_schrodinger,
+                             matrix_example_assignment, matrix_example_residuals,
+                             operator_p_coeffs, panel_integral, reduce_to_schrodinger,
                              schrodinger_residual, sextic_potential,
                              sextic_reduction, spectrum)
 
@@ -399,6 +399,18 @@ def test_matrix_example_preservation_and_residuals():
         assert len(model.action.labels) == 2 * n + 1
         resid = matrix_example_residuals(model)
         assert max(resid) < 1e-5
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(2, 1, 1), (1, 2, 3), (0, 0, 2)])
+def test_matrix_example_second_order_block_is_minus_2x(alpha, beta, n):
+    """The exact d_x^2 block is -2x on the diagonal and absent off it, so with
+    x = y^2 the second-order part is -1/2 d^2/dy^2 on each component, and the
+    matrix gauge U leaves it so."""
+    mop = to_matrix_operator(matrix_example_assignment(alpha, beta, n).operator())
+    minus_2x = Poly.var(mop.ctx.vars, "x").scale(-2)
+    assert mop.order() == 2
+    assert [[e.terms.get((2,)) for e in row] for row in mop.entries] == [[minus_2x, None],
+                                                                         [None, minus_2x]]
 
 
 def test_matrix_example_beta_zero_degenerates():
