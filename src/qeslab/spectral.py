@@ -1,21 +1,19 @@
 """Spectra on invariant subspaces and one-dimensional Schroedinger reductions.
 
 Exact characteristic polynomials come from the Hessenberg recurrence modulo a
-prime above twice their Hadamard bound; numeric roots from the companion
-matrix.  The scalar reduction maps -P4 f'' + P3 f' + P2 f = eps f to
--psi'' + V psi = eps psi through z = int dx/sqrt(P4) and the gauge exponent
-A = (1/2) int (P3/P4) dx + (1/4) log P4 (the half in front of the integral is
-forced by eliminating the first-order term; V = A'^2 - A'' + P2 follows).  The
-quartic-family case P4 = c*x is closed form throughout: x = c z^2 / 4, and
+prime above twice their Hadamard bound; roots are read off the diagonal of a
+triangular action, and come from the companion matrix otherwise.  The scalar
+reduction maps -P4 f'' + P3 f' + P2 f = eps f to -psi'' + V psi = eps psi
+through z = int dx/sqrt(P4) and the gauge exponent A = (1/2) int (P3/P4) dx +
+(1/4) log P4 (the half is forced by eliminating the first-order term);
+V = A'^2 - A'' + P2 is N/P4, with N one exact polynomial.  The case P4 = c*x,
+c > 0, on [0, hi] is decided exactly and is closed form: x = c z^2 / 4, and
 the gauge integral is the exact antiderivative (p0/c) log x +
-sum_{k>=1} p_k x^k / (k c) of P3/P4 = sum p_k x^k / (c x), built in
-Fractions, its polynomial part differenced against the reference node by
-exact division.  Off that case the gauge integral is a prefix sum of 8-point
-Gauss-Legendre panels over the gaps between consecutive sorted nodes, each
-panel halved until it agrees with its halves, and x(z) is solved node after
-node in z order by Newton steps on the exact dz/dx = 1/sqrt(P4), each step
-one panel integral from the node before.  A reduction is linear in the
-number of grid nodes.
+sum_{k>=1} p_k x^k / (k c) of P3/P4, built in Fractions.  Off it one walk
+outward from the domain midpoint solves x(z) node by node (Newton steps on
+dz/dx = 1/sqrt(P4)) and sums the gauge primitive over the same gaps, both by
+adaptive 8-point Gauss-Legendre panels.  A reduction is linear in the number
+of grid nodes.
 
 The 2x2 matrix example reduces with x = y^2 and the gauge factor
 U = exp(-alpha y^2/4 + i beta y^2 sigma_1/4).  Its exact d_x^2 block is -2x
@@ -34,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from .classify import CoeffAssignment
 from .enveloping import ElementAction
@@ -59,11 +57,18 @@ class NonSquareError(ValueError):
 class Spectrum:
     charpoly: List[Scalar]          # monic, highest power first
     roots: List[complex]
-    trace_check: float              # relative consistency of numeric roots
+    trace_check: float              # relative consistency of numeric roots, 0.0 if exact
+
+
+def _first_below_diagonal(result: ActionResult) -> Tuple[int, int] | None:
+    """First (row, column) below the diagonal, by columns; None if triangular."""
+    return next(((i, j) for j, col in enumerate(result.columns)
+                 for i in sorted(col) if i > j), None)
 
 
 def spectrum(result: ActionResult) -> Spectrum:
-    """Exact characteristic polynomial plus companion-matrix roots."""
+    """Exact characteristic polynomial plus roots: a triangular action's are
+    its diagonal, exactly (trace_check 0.0); others the companion matrix's."""
     import numpy as np
 
     if not result.preserved:
@@ -71,12 +76,14 @@ def spectrum(result: ActionResult) -> Spectrum:
             f"operator escapes {result.space}: {result.escapes[:3]}")
     m = result.matrix
     coeffs = charpoly(m)
-    croots = np.roots([c.to_complex() for c in coeffs]) if len(m) else np.array([])
     n = len(m)
+    if _first_below_diagonal(result) is None:
+        return Spectrum(coeffs, [m[j][j].to_complex() for j in range(n)], 0.0)
+    croots = np.roots([c.to_complex() for c in coeffs])
     tr_exact = sum((m[i][i] for i in range(n)), ZERO).to_complex()
     det_exact = Scalar((-1) ** n) * coeffs[-1]
-    tr_num = complex(np.sum(croots)) if n else 0j
-    det_num = complex(np.prod(croots)) if n else 1 + 0j
+    tr_num = complex(np.sum(croots))
+    det_num = complex(np.prod(croots))
     scale = max(abs(tr_exact), abs(det_exact.to_complex()), 1.0)
     err = max(abs(tr_num - tr_exact), abs(det_num - det_exact.to_complex())) / scale
     return Spectrum(coeffs, list(croots), err)
@@ -116,9 +123,9 @@ def eigenlaw_check(assignment: CoeffAssignment, degrees: int = 8) -> dict:
     res = action_matrix(op, SpaceSpec("interval", (degrees,)))
     if not res.preserved:
         return {"ok": False, "reason": "operator does not preserve the flag member"}
-    below = [(i, j) for j, col in enumerate(res.columns) for i in sorted(col) if i > j]
-    if below:
-        return {"ok": False, "reason": "action is not triangular", "entry": below[0]}
+    below = _first_below_diagonal(res)
+    if below is not None:
+        return {"ok": False, "reason": "action is not triangular", "entry": below}
     diag = [col.get(d, ZERO) for d, col in enumerate(res.columns)]
     # exact quadratic through d = 0, 1, 2
     c0 = diag[0]
@@ -296,38 +303,45 @@ def _solve_x(rate: Callable[[float], float], xp: float, zp: float, z: float,
     raise ValueError(f"x(z) did not converge at z = {z!r}")
 
 
+def potential_numerator(p4: Poly, p3: Poly, p2: Poly) -> Poly:
+    """V*P4 as one exact Poly, V = A'(z)^2 - A''(z) + P2 the reduction's
+    potential: g^2 + g P4'/2 - P4 (P3'/2 + P4''/4 - P2), g = P3/2 + P4'/4."""
+    d4, half, quarter = _dpoly(p4), Fraction(1, 2), Fraction(1, 4)
+    g = p3.scale(half) + d4.scale(quarter)
+    return (g * (g + d4.scale(half))
+            - p4 * (_dpoly(p3).scale(half) + _dpoly(d4).scale(quarter) - p2))
+
+
 def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
                           domain: Tuple[float, float],
                           zgrid: Sequence[float]) -> SchrodingerReduction:
     """Change of variable z = int dx/sqrt(P4) plus gauge, sampled on a z-grid.
 
     P4 must be positive on the domain interior, and the z grid must be
-    nonempty, with every node in the domain's image [z(lo), z(hi)].  For the
-    c*x quartic-family case x(z) and the gauge integral are closed form, and
-    no node may map to x = 0, where P4 vanishes.  Otherwise the nodes are
-    solved in z order outward from the domain midpoint (z = 0), each by
-    Newton steps from the node before it, and the gauge integral is a prefix
-    sum of panel integrals over the gaps between sorted nodes, outward from
-    the middle node.  After one sort of the nodes the work is linear in their
-    number.
+    nonempty, with every node in the domain's image [z(lo), z(hi)].  The
+    potential is N(x)/P4(x), N = potential_numerator(P4, P3, P2).  On
+    P4 = c*x with c > 0 on [0, hi], decided exactly, x(z) and the gauge are
+    closed form, and no node may map to x = 0.  Otherwise P4 > 0 is sampled,
+    and one walk in z order outward from the domain midpoint (z = 0) solves
+    each node by Newton steps from the node before and adds the gap's panel
+    integral of P3/P4 to the gauge primitive: linear in the node count.
     """
     zgrid = list(zgrid)
     if not zgrid:
         raise ValueError("the z grid is empty")
-    f4, f3, f2 = _poly_fn(p4), _poly_fn(p3), _poly_fn(p2)
+    f4, f3 = _poly_fn(p4), _poly_fn(p3)
     lo, hi = domain
-    probes = [lo + (hi - lo) * t / 400.0 for t in range(1, 400)]
-    if any(f4(x) <= 0 for x in probes):
-        raise ValueError("P4 changes sign inside the domain")
 
-    # special case P4 = c*x on [0, hi]: z = 2 sqrt(x/c), x = c z^2 / 4
-    linear = (p4.degree() == 1 and p4.coefficient_of(p4.vars[0], 0).is_zero()
-              and abs(lo) < 1e-12)
+    # P4 = c*x with c > 0 on [0, hi]: z = 2 sqrt(x/c), x = c z^2 / 4
+    cq = p4.coefficient_of(p4.vars[0], 1).constant_value().re
+    linear = p4.degree() == 1 and p4.constant_value().is_zero() and cq > 0 and lo == 0 < hi
     if linear:
-        cq = p4.coefficient_of(p4.vars[0], 1).constant_value().re
         c = float(cq)
         zrange = (0.0, 2.0 * math.sqrt(hi / c))
     else:
+        probes = [lo + (hi - lo) * t / 400.0 for t in range(1, 400)]
+        if any(f4(x) <= 0 for x in probes):
+            raise ValueError("P4 changes sign inside the domain")
         x0 = 0.5 * (lo + hi)
         rate = lambda t: 1.0 / math.sqrt(f4(t))
         zrange = (panel_integral(rate, x0, lo), panel_integral(rate, x0, hi))
@@ -337,23 +351,13 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
             raise ValueError(f"z node {z!r} lies outside the domain's image "
                              f"[{zrange[0]!r}, {zrange[1]!r}]")
 
+    # gauge exponent A(x) = (1/2) int_xref^x (P3/P4) + (1/4) log P4
     if linear:
         xs = [c * z * z / 4.0 for z in zgrid]
         if 0.0 in xs:
             raise ValueError(f"P4 = c*x vanishes at the z node "
                              f"{zgrid[xs.index(0.0)]!r} (x = 0)")
-    else:
-        x_at: Dict[float, float] = {}
-        for walk, edge in zip(_walks(0.0, zgrid), (hi, lo)):
-            xp = x0
-            for zp, z in zip(walk, walk[1:]):
-                xp = x_at[z] = _solve_x(rate, xp, zp, z, edge)
-        x_at[0.0] = x0
-        xs = [x_at[z] for z in zgrid]
-
-    # gauge exponent A(x) = (1/2) int (P3/P4) + (1/4) log P4
-    xref = xs[len(xs) // 2]
-    if linear:
+        xref = xs[len(xs) // 2]
         # int P3/(c x) = (p0/c) log x + F(x), F = sum_{k>=1} p_k x^k / (k c);
         # F(x) - F(xref) is (x - xref) Q(x), with Q the exact quotient at the
         # float xref, so that nodes near xref keep their relative accuracy
@@ -363,27 +367,20 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
         quot = _poly_fn(Poly(p3.vars, {
             (j,): sum(v * xr ** (k - 1 - j) for k, v in anti.items() if k > j)
             for j in range(max(anti, default=0))}))
-        prim = {x: (x - xref) * quot(x) + log_coeff * math.log(x / xref) for x in xs}
+        prim = [(x - xref) * quot(x) + log_coeff * math.log(x / xref) for x in xs]
     else:
         ratio = lambda t: f3(t) / f4(t)
-        prim = {xref: 0.0}
-        for walk in _walks(xref, xs):
-            for u, v in zip(walk, walk[1:]):
-                prim[v] = prim[u] + panel_integral(ratio, u, v)
-    gauge = [0.5 * prim[x] + 0.25 * math.log(f4(x)) for x in xs]
+        x_at, prim_at = {0.0: x0}, {0.0: 0.0}
+        for walk, edge in zip(_walks(0.0, zgrid), (hi, lo)):
+            for zp, z in zip(walk, walk[1:]):
+                x = x_at[z] = _solve_x(rate, x_at[zp], zp, z, edge)
+                prim_at[z] = prim_at[zp] + panel_integral(ratio, x_at[zp], x)
+        xs = [x_at[z] for z in zgrid]
+        prim = [prim_at[z] - prim_at[zgrid[len(zgrid) // 2]] for z in zgrid]
+    gauge = [0.5 * p + 0.25 * math.log(f4(x)) for p, x in zip(prim, xs)]
 
-    # V = B^2 - A''(z) + P2, all exact rational functions of x
-    f4p = _poly_fn(_dpoly(p4))
-    f4pp = _poly_fn(_dpoly(_dpoly(p4)))
-    f3p = _poly_fn(_dpoly(p3))
-
-    def v_at(x: float) -> float:
-        q4, q4p = f4(x), f4p(x)
-        g = f3(x) / 2.0 + q4p / 4.0
-        return (g * g / q4 - (f3p(x) / 2.0 + f4pp(x) / 4.0)
-                + g * q4p / (2.0 * q4) + f2(x))
-
-    pot = [v_at(x) for x in xs]
+    fn = _poly_fn(potential_numerator(p4, p3, p2))
+    pot = [fn(x) / f4(x) for x in xs]
     # the residual's five-point stencil needs >= 5 strictly ascending, even gaps
     h = zgrid[1] - zgrid[0] if len(zgrid) >= 5 else 0.0
     uniform = h > 0 and all(abs(v - u - h) <= 1e-9 * h for u, v in zip(zgrid, zgrid[1:]))

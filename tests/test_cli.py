@@ -433,10 +433,12 @@ def test_cases_report_digest_pinned(argv, tmp_path, monkeypatch):
 
 
 # the sextic reduction report, pinned the same way before the default z grid
-# and the spacing parameter left reduce_to_schrodinger
+# and the spacing parameter left reduce_to_schrodinger; re-taken when the
+# potential became N/P4 with N exact, which moved closed_form_deviation from
+# 7.958078640513122e-13 to 6.821210263296962e-13 and nothing else
 REDUCE_DIGESTS = {
     ("reduce", "--sextic", "n=2,k=0,a=1,b=1"):
-        "5d2ad547c317a3a720c441030c97936bfcc218d4f58492a4d393b93a2c25cd31",
+        "e3d21ccacc53ba72a4706fa769d5108cf98966ee57d80c27c54663d6e73b8fcd",
 }
 
 
@@ -479,6 +481,24 @@ def test_spectrum_command(capsys):
         "--op", "0 - 4*J0*J- + 4*J0 - 4*J- + 3", "--space", "int:1"])
     assert code == 0
     assert rep["payload"]["charpoly"] == ["1", "-6", "5"]
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_triangular_spectrum_roots_are_the_diagonal(n, capsys):
+    # J+*J- + J0 maps x^d to (d(d - n) - n/2) x^d; at n = 100 the charpoly's
+    # coefficients are beyond the float range
+    code, rep = run_json(capsys, ["spectrum", "--algebra", "sl2", "--n", str(n),
+                                  "--op", "J+*J- + J0", "--space", f"int:{n}"])
+    assert code == 0 and rep["payload"]["trace_check"] == 0.0
+    diag = [d * (d - n) - n // 2 for d in range(n + 1)]
+    assert rep["payload"]["roots"] == sorted(f"{e}+0j" for e in diag)
+
+
+@pytest.mark.parametrize("zmin", ["1e-6", "1e-10", "1e-160"])
+def test_reduce_small_zmin_matches_the_closed_form(zmin, capsys):
+    # V = N/P4 with N exact has no terms that cancel as x = c z^2/4 -> 0
+    code, rep = run_json(capsys, ["reduce", "--sextic", "n=2,k=0,a=1,b=1", "--zmin", zmin])
+    assert code == 0 and rep["payload"]["closed_form_deviation"] < 1e-8
 
 
 def test_reduce_csv(tmp_path, capsys):

@@ -22,7 +22,8 @@ from qeslab.spectral import (GAUSS_LEGENDRE_8, NonSquareError, adaptive_simpson,
                              build_matrix_example, build_sextic,
                              eigenlaw_check, exact_rational_eigenvalues,
                              matrix_example_assignment, matrix_example_residuals,
-                             operator_p_coeffs, panel_integral, reduce_to_schrodinger,
+                             operator_p_coeffs, panel_integral, potential_numerator,
+                             reduce_to_schrodinger,
                              schrodinger_residual, sextic_potential,
                              sextic_reduction, spectrum)
 
@@ -74,6 +75,20 @@ def test_spectrum_frozen_2x2():
     sp = spectrum(res)
     assert [str(c) for c in sp.charpoly] == ["1", "-6", "5"]
     assert sorted(s.re for s in exact_rational_eigenvalues(sp)) == [1, 5]
+
+
+def test_triangular_spectrum_is_the_exact_diagonal(monkeypatch):
+    # J+J- + 2 J0J- + J- at n = 8 is upper triangular on int:8, with the
+    # diagonal d(d - 9), d = 0..8: every level but 0 appears twice, and the
+    # roots are those entries, with no companion-matrix root taken
+    def boom(*args):
+        raise AssertionError("np.roots called")
+    monkeypatch.setattr(np, "roots", boom)
+    asg = CoeffAssignment(RepSpec("sl2", n=S(8)), {"c_+-": S(1), "c_0-": S(2), "c_-": S(1)})
+    sp = spectrum(action_matrix(asg.operator(), SpaceSpec("interval", (8,))))
+    assert sp.roots == [complex(d * (d - 9)) for d in range(9)]
+    assert sp.trace_check == 0.0
+    assert [str(c) for c in sp.charpoly][:2] == ["1", "120"]
 
 
 def test_spectrum_irrational_pair():
@@ -152,6 +167,24 @@ def test_eigenlaw_rejects_nontriangular():
     spec = RepSpec("sl2", n=S(4))
     rep = eigenlaw_check(CoeffAssignment(spec, {"c_+": S(1), "c_0-": S(1)}))
     assert not rep["ok"]
+    # at n = 8, J+ keeps int:8 and moves x^0 to x^1: the first entry below
+    # the diagonal, column by column
+    rep = eigenlaw_check(CoeffAssignment(RepSpec("sl2", n=S(8)), {"c_+": S(1), "c_0-": S(1)}))
+    assert rep == {"ok": False, "reason": "action is not triangular", "entry": (1, 0)}
+
+
+@pytest.mark.parametrize("n,k,a,b", [
+    (1, 0, 1, 0), (2, 1, Fraction(3, 2), -1), (3, 0, 2, 2), (3, 1, 2, -1), (3, 0, 1, 1)])
+def test_sextic_potential_numerator_is_the_closed_form(n, k, a, b):
+    """On P4 = c*x, z^2 = 4x/c, N = V*P4 equals
+    c x (a^2 z^6 + 2ab z^4 + (b^2 - (4n+3+2k)a) z^2) exactly: no x^0 or x^1
+    term is left to cancel at small x."""
+    p4, p3, p2 = operator_p_coeffs(build_sextic(n, k, a, b).operator())
+    c = p4.terms[(1,)].re
+    a, b, u = Fraction(a), Fraction(b), Fraction(4) / c
+    closed = {6: a * a, 4: 2 * a * b, 2: b * b - (4 * n + 3 + 2 * k) * a}
+    want = Poly(p4.vars, {(1 + j // 2,): c * v * u ** (j // 2) for j, v in closed.items()})
+    assert potential_numerator(p4, p3, p2) == want
 
 
 def test_sextic_potential_samples():

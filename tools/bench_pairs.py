@@ -9,6 +9,9 @@ run has ``PYTHONDONTWRITEBYTECODE=1`` set.  For each workload and seed the
 two sides run ``bench/run.py --trace 0`` one process at a time: at odd seeds
 the parent goes first, at even seeds the change.  Each run's last-line JSON,
 exit code and wall time are recorded with the verdict digest of its report.
+A run that does not finish (nonzero exit, or no result line) or that
+finishes with ``"correct": false`` is counted per side as an unfinished or
+incorrect run, and its metrics enter neither the medians nor the pairs.
 The summary gives, per side, workload and end-to-end metric of the parent's
 ``BENCHMARK.json``, the median, the quartiles and their spread as a share of
 the median; and per workload the seeds where the change beats the parent on
@@ -74,19 +77,30 @@ def summarise(values: list) -> dict:
             "values": values}
 
 
+def finished(run: dict) -> bool:
+    return run["exit_code"] == 0 and bool(run["result"])
+
+
+def good(run: dict) -> bool:
+    """A finished run whose outputs all passed their checks."""
+    return finished(run) and run["result"]["correct"] is True
+
+
 def side_summary(runs: list, metrics: list) -> dict:
-    done = [r for r in runs if r["exit_code"] == 0 and r["result"]]
+    done = [r for r in runs if finished(r)]
+    ok = [r for r in runs if good(r)]
     return {"runs": runs,
             "attempted": sum(r["result"]["attempted"] for r in done),
             "failed": sum(r["result"]["failed"] for r in done),
             "unfinished_runs": len(runs) - len(done),
+            "incorrect_runs": len(done) - len(ok),
             "digests": [r["digest"] for r in runs],
             "rounds": [r["rounds"] for r in runs],
             "run_wall_s": [r["wall_s"] for r in runs],
             "machine": done[0]["machine"] if done else None,
             "end_to_end": {m["name"]: dict(summarise([r["result"]["metrics"][m["name"]]["value"]
-                                                      for r in done]), bound=m["bound"])
-                           for m in metrics} if done else {}}
+                                                      for r in ok]), bound=m["bound"])
+                           for m in metrics} if ok else {}}
 
 
 def main() -> int:
@@ -138,7 +152,7 @@ def main() -> int:
             name, lower = m["name"], m["better"] == "lower"
             pairs = [(p["result"]["metrics"][name]["value"], c["result"]["metrics"][name]["value"])
                      for p, c in zip(runs["parent"][w], runs["change"][w])
-                     if p["result"] and c["result"]]
+                     if good(p) and good(c)]
             wins = sum((c < p) if lower else (c > p) for p, c in pairs)
             out["pairs"][w][name] = {"change_wins": wins, "pairs": len(pairs)}
             out["median_ratio_change_over_parent"][w][name] = round(
