@@ -9,7 +9,8 @@ through z = int dx/sqrt(P4) and the gauge exponent A = (1/2) int (P3/P4) dx +
 V = A'^2 - A'' + P2 is N/P4, with N one exact polynomial.  The case P4 = c*x,
 c > 0, on [0, hi] is decided exactly and is closed form: x = c z^2 / 4, and
 the gauge integral is the exact antiderivative (p0/c) log x +
-sum_{k>=1} p_k x^k / (k c) of P3/P4, built in Fractions.  Off it one walk
+sum_{k>=1} p_k x^k / (k c) of P3/P4, built in Fractions.  Off it P4 > 0 is
+decided by an exact Sturm count on the domain, and then one walk
 outward from the domain midpoint solves x(z) node by node (Newton steps on
 dz/dx = 1/sqrt(P4)) and sums the gauge primitive over the same gaps, both by
 adaptive 8-point Gauss-Legendre panels.  A reduction is linear in the number
@@ -312,6 +313,68 @@ def potential_numerator(p4: Poly, p3: Poly, p2: Poly) -> Poly:
             - p4 * (_dpoly(p3).scale(half) + _dpoly(d4).scale(quarter) - p2))
 
 
+def _qdivmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    """Quotient and remainder of rational coefficient lists (constant first),
+    b with a nonzero leading coefficient; both results are trimmed."""
+    quot, rem = [Fraction(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(rem) >= len(b):
+        f, shift = rem[-1] / b[-1], len(rem) - len(b)
+        quot[shift] = f
+        for i, v in enumerate(b):
+            rem[shift + i] -= f * v
+        while rem and not rem[-1]:
+            rem.pop()
+    return quot, rem
+
+
+def _qderiv(p: List[Fraction]) -> List[Fraction]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _qeval(p: List[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _check_positive(p4: Poly, lo: Fraction, hi: Fraction) -> None:
+    """Raise unless P4 > 0 on the open interval (lo, hi), decided in exact
+    rationals: a Sturm sequence of P4's square-free part counts its distinct
+    roots there, and a root found is bracketed to width <= 1e-6 by bisection."""
+    p = [Fraction(0)] * (p4.degree() + 1)
+    for (k,), c in p4.terms.items():
+        p[k] = c.re
+    if len(p) > 1:
+        a, b = p, _qderiv(p)
+        while b:
+            a, b = b, _qdivmod(a, b)[1]
+        chain = [_qdivmod(p, a)[0]]          # p / gcd(p, p'): simple roots only
+        chain.append(_qderiv(chain[0]))
+        while len(chain[-1]) > 1:
+            chain.append([-c for c in _qdivmod(chain[-2], chain[-1])[1]])
+
+        def changes(x):
+            signs = [v > 0 for v in (_qeval(q, x) for q in chain) if v]
+            return sum(u != v for u, v in zip(signs, signs[1:]))
+
+        def inside(a, b):                   # distinct roots in the open (a, b)
+            return changes(a) - changes(b) - (not _qeval(chain[0], b))
+
+        if inside(lo, hi):
+            while hi - lo > Fraction(1, 10 ** 6):
+                mid = (lo + hi) / 2
+                if not _qeval(chain[0], mid):
+                    lo = hi = mid
+                elif inside(lo, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            raise ValueError(f"P4 vanishes inside the domain: a root lies in [{lo}, {hi}]")
+    if _qeval(p, (lo + hi) / 2) <= 0:
+        raise ValueError("P4 is not positive on the domain")
+
+
 def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
                           domain: Tuple[float, float],
                           zgrid: Sequence[float]) -> SchrodingerReduction:
@@ -321,10 +384,14 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
     nonempty, with every node in the domain's image [z(lo), z(hi)].  The
     potential is N(x)/P4(x), N = potential_numerator(P4, P3, P2).  On
     P4 = c*x with c > 0 on [0, hi], decided exactly, x(z) and the gauge are
-    closed form, and no node may map to x = 0.  Otherwise P4 > 0 is sampled,
-    and one walk in z order outward from the domain midpoint (z = 0) solves
-    each node by Newton steps from the node before and adds the gap's panel
-    integral of P3/P4 to the gauge primitive: linear in the node count.
+    closed form, and no node may map to x = 0.  Otherwise the domain must be
+    finite, and P4 > 0 on its interior is decided exactly before any
+    quadrature: with the float ends read as exact rationals, a Sturm sequence
+    of P4's square-free part must find no root strictly inside (the ends may
+    be roots), and P4 must be positive at the midpoint.  Then one walk in z
+    order outward from the domain midpoint (z = 0) solves each node by Newton
+    steps from the node before and adds the gap's panel integral of P3/P4 to
+    the gauge primitive: linear in the node count.
     """
     zgrid = list(zgrid)
     if not zgrid:
@@ -339,9 +406,9 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
         c = float(cq)
         zrange = (0.0, 2.0 * math.sqrt(hi / c))
     else:
-        probes = [lo + (hi - lo) * t / 400.0 for t in range(1, 400)]
-        if any(f4(x) <= 0 for x in probes):
-            raise ValueError("P4 changes sign inside the domain")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"the domain ({lo!r}, {hi!r}) is not a finite interval")
+        _check_positive(p4, Fraction(lo), Fraction(hi))
         x0 = 0.5 * (lo + hi)
         rate = lambda t: 1.0 / math.sqrt(f4(t))
         zrange = (panel_integral(rate, x0, lo), panel_integral(rate, x0, hi))

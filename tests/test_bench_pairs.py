@@ -15,11 +15,11 @@ def bench_pairs():
     return module
 
 
-def _run(seed, exit_code, correct=True, value=0.0):
+def _run(seed, exit_code, correct=True, value=0.0, wall_s=1.0):
     result = None if exit_code else {
         "correct": correct, "attempted": 10, "failed": 0 if correct else 2,
         "metrics": {"jobs_per_s": {"value": value}}}
-    return {"seed": seed, "exit_code": exit_code, "wall_s": 1.0, "result": result,
+    return {"seed": seed, "exit_code": exit_code, "wall_s": wall_s, "result": result,
             "digest": "d", "rounds": 1, "machine": {}}
 
 
@@ -33,3 +33,12 @@ def test_incorrect_and_unfinished_runs_stay_out_of_the_medians(bench_pairs):
     assert summary["failed"] == 2
     assert summary["end_to_end"]["jobs_per_s"]["values"] == [100.0, 120.0]
     assert summary["end_to_end"]["jobs_per_s"]["median"] == 110.0
+
+
+def test_median_run_wall_counts_every_run(bench_pairs):
+    # a run's wall time is what the check pays, finished or not
+    runs = [_run(1, 0, wall_s=40.0), _run(2, 0, correct=False, wall_s=90.0),
+            _run(3, 1, wall_s=5.0), _run(4, 0, wall_s=50.0)]
+    summary = bench_pairs.side_summary(runs, [{"name": "jobs_per_s", "bound": 0.25}])
+    assert summary["run_wall_s"] == [40.0, 90.0, 5.0, 50.0]
+    assert summary["median_run_wall_s"] == 45.0

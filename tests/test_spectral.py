@@ -2,6 +2,7 @@ import importlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -41,31 +42,78 @@ def test_spectrum_diagonal():
     assert sp.trace_check < 1e-12
 
 
-def _loads_numpy(code: str) -> bool:
-    """Run code in a fresh interpreter on this qeslab: is numpy loaded after?"""
+def _loaded(code: str) -> set:
+    """Run code in a fresh interpreter on this qeslab: the modules loaded after."""
     src = str(Path(qeslab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
-                          "print('numpy' in sys.modules)"],
+                          "print(' '.join(sys.modules))"],
                          capture_output=True, text=True, env=env, check=True, timeout=60)
-    return out.stdout.split()[-1] == "True"
+    return set(out.stdout.splitlines()[-1].split())
+
+
+SUBMODULES = {f"qeslab.{p.stem}" for p in Path(qeslab.__file__).parent.glob("*.py")
+              if p.stem != "__init__"}
+# library set-up as bench/run.py times it: the case catalogue and one
+# generator family
+SETUP_PATH = ("from qeslab.classify import rules_for\n"
+              "from qeslab.reps import RepSpec, make_rep\n"
+              "from qeslab.scalars import Scalar\n"
+              "rules_for(RepSpec('osp22'))\n"
+              "make_rep(RepSpec('osp22', n=Scalar(5)))")
 
 
 @pytest.mark.parametrize("module", ["qeslab", "qeslab.cli"])
 def test_import_does_not_load_numpy(module):
     # only float roots and the 2x2 example need numpy, and they import it
-    assert not _loads_numpy(f"import {module}")
+    assert "numpy" not in _loaded(f"import {module}")
+
+
+@pytest.mark.parametrize("code,absent", [
+    # the package loads a module only when one of its names is used
+    pytest.param("import qeslab", SUBMODULES, id="package"),
+    pytest.param(SETUP_PATH, {"qeslab.spectral", "qeslab.identities", "numpy"}, id="setup"),
+])
+def test_import_loads_only_what_is_used(code, absent):
+    assert not _loaded(code) & absent
 
 
 def test_spectrum_loads_numpy():
-    assert _loads_numpy(
+    assert "numpy" in _loaded(
         "from qeslab.reps import RepSpec, make_rep\n"
         "from qeslab.scalars import Scalar\n"
         "from qeslab.spaces import SpaceSpec, action_matrix\n"
         "from qeslab.spectral import spectrum\n"
         "g = make_rep(RepSpec('sl2', n=Scalar(1)))\n"
         "spectrum(action_matrix(g.ops['J0'], SpaceSpec('interval', (1,))))")
+
+
+# every name the package exported when it imported its modules eagerly
+EXPORTS = {
+    "scalars": "Scalar QParam qnumber qbinomial",
+    "poly": "Poly",
+    "operators": "LinOperator MatrixOperator OpContext compose commutator to_matrix_operator",
+    "reps": "RepSpec GeneratorSet make_rep verify_structure to_matrix_rep",
+    "enveloping": "expand grading param_count verify_relations",
+    "spaces": "SpaceSpec dimension action_matrix",
+    "classify": "CoeffAssignment classify_grading match_cases verify_case",
+    "spectral": "spectrum eigenlaw_check build_sextic sextic_potential "
+                "reduce_to_schrodinger schrodinger_residual build_matrix_example",
+    "identities": "verify_identity",
+}
+
+
+def test_every_export_is_its_home_modules_object():
+    names = [(m, n) for m, ns in EXPORTS.items() for n in ns.split()]
+    assert sorted(qeslab.__all__) == sorted(n for _, n in names)
+    for module, name in names:
+        assert getattr(qeslab, name) is getattr(importlib.import_module(f"qeslab.{module}"),
+                                                name), name
+    assert qeslab.spectrum is spectral.spectrum
+    assert set(qeslab.__all__) <= set(dir(qeslab))
+    with pytest.raises(AttributeError, match="no attribute 'spectra'"):
+        qeslab.spectra
 
 
 def test_spectrum_frozen_2x2():
@@ -348,8 +396,51 @@ def test_reduce_closed_form_gauge():
 def test_reduce_rejects_sign_change():
     x = Poly(("x",), {(1,): 1})
     zero = Poly(("x",), {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"a root lies in \[0, 0\]"):
         reduce_to_schrodinger(x, zero, zero, (-1.0, 1.0), zgrid=[0.0])
+
+
+def _no_quadrature(monkeypatch):
+    def boom(*args):
+        raise AssertionError("quadrature ran")
+    monkeypatch.setattr(spectral, "panel_integral", boom)
+
+
+@pytest.mark.parametrize("roots", [
+    (Fraction(3, 2500), Fraction(9, 5000)),     # negative between float probes
+    (Fraction(1, 300), Fraction(1, 300)),       # a double root: P4 >= 0
+])
+def test_reduce_refuses_an_interior_root_before_any_quadrature(roots, monkeypatch):
+    _no_quadrature(monkeypatch)
+    r, s = roots
+    p4 = Poly(("x",), {(2,): 1, (1,): -(r + s), (0,): r * s})
+    zero = Poly(("x",), {})
+    with pytest.raises(ValueError, match="P4 vanishes inside the domain") as err:
+        reduce_to_schrodinger(p4, zero, zero, (-2.0, 2.0), zgrid=[0.0])
+    lo, hi = map(Fraction, re.search(r"\[(\S+), (\S+)\]", str(err.value)).groups())
+    assert 0 < hi - lo <= Fraction(1, 10 ** 6)
+    assert lo <= r <= hi or lo <= s <= hi
+
+
+@pytest.mark.parametrize("p4,domain,message", [
+    (Poly(("x",), {(0,): -1, (2,): -1}), (-2.0, 2.0), "not positive on the domain"),
+    (Poly(("x",), {}), (-2.0, 2.0), "not positive on the domain"),
+    (Poly(("x",), {(0,): 1}), (1.0, float("inf")), "not a finite interval"),
+    (Poly(("x",), {(0,): 1}), (1.0, 1.0), "not a finite interval"),
+])
+def test_reduce_refuses_a_domain_without_positive_p4(p4, domain, message, monkeypatch):
+    _no_quadrature(monkeypatch)
+    zero = Poly(("x",), {})
+    with pytest.raises(ValueError, match=message):
+        reduce_to_schrodinger(p4, zero, zero, domain, zgrid=[0.0])
+
+
+def test_reduce_lets_the_domain_ends_be_roots(monkeypatch):
+    _no_quadrature(monkeypatch)
+    four_minus_x2 = Poly(("x",), {(0,): 4, (2,): -1})
+    zero = Poly(("x",), {})
+    with pytest.raises(AssertionError, match="quadrature ran"):
+        reduce_to_schrodinger(four_minus_x2, zero, zero, (-2.0, 2.0), zgrid=[0.0])
 
 
 @pytest.mark.parametrize("p4,domain", [

@@ -16,7 +16,10 @@ The summary gives, per side, workload and end-to-end metric of the parent's
 ``BENCHMARK.json``, the median, the quartiles and their spread as a share of
 the median; and per workload the seeds where the change beats the parent on
 each metric, the median ratio change/parent, and whether the two sides'
-digests agree at every seed.  Standard library only.
+digests agree at every seed.  Each side's median run wall time, over all its
+runs, and the ratio of the two medians show what a change costs the
+benchmark check in time even where no metric gets worse.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ def side_summary(runs: list, metrics: list) -> dict:
             "digests": [r["digest"] for r in runs],
             "rounds": [r["rounds"] for r in runs],
             "run_wall_s": [r["wall_s"] for r in runs],
+            "median_run_wall_s": statistics.median(r["wall_s"] for r in runs),
             "machine": done[0]["machine"] if done else None,
             "end_to_end": {m["name"]: dict(summarise([r["result"]["metrics"][m["name"]]["value"]
                                                       for r in ok]), bound=m["bound"])
@@ -137,7 +141,8 @@ def main() -> int:
            "cache_state": "fresh git archive per side, no __pycache__, "
                           "PYTHONDONTWRITEBYTECODE=1 on both sides",
            "parent_commit": commits["parent"], "change_commit": commits["change"],
-           "pairs": {}, "median_ratio_change_over_parent": {}, "digests_equal_per_seed": {}}
+           "pairs": {}, "median_ratio_change_over_parent": {}, "median_run_wall_ratio": {},
+           "digests_equal_per_seed": {}}
     for side in SIDES:
         out[side] = {"run_seconds": seconds,
                      "seeds": {w: len(seeds) for w in workloads},
@@ -145,6 +150,8 @@ def main() -> int:
     for w in workloads:
         par, chg = (out[side]["workloads"][w] for side in SIDES)
         out["digests_equal_per_seed"][w] = par["digests"] == chg["digests"]
+        out["median_run_wall_ratio"][w] = round(
+            chg["median_run_wall_s"] / par["median_run_wall_s"], 4)
         if not (par["end_to_end"] and chg["end_to_end"]):
             continue
         out["pairs"][w], out["median_ratio_change_over_parent"][w] = {}, {}
@@ -158,9 +165,12 @@ def main() -> int:
             out["median_ratio_change_over_parent"][w][name] = round(
                 chg["end_to_end"][name]["median"] / par["end_to_end"][name]["median"], 4)
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    for w, ratios in out["median_ratio_change_over_parent"].items():
+    for w in workloads:
+        ratios = out["median_ratio_change_over_parent"].get(w, {})
+        walls = [out[side]["workloads"][w]["median_run_wall_s"] for side in SIDES]
         print(w, {k: f"{v} ({out['pairs'][w][k]['change_wins']}/{out['pairs'][w][k]['pairs']})"
-                  for k, v in ratios.items()})
+                  for k, v in ratios.items()},
+              f"run wall {walls[0]} -> {walls[1]} s ({out['median_run_wall_ratio'][w]})")
     return 0
 
 
