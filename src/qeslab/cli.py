@@ -3,9 +3,11 @@
 Every command prints one JSON report (schema 1) built deterministically from
 its inputs and the seed; exit status is 0 for a pass, 1 for a verification
 failure, 2 for usage errors, 3 for an internal failure (the error report on
-stderr names the failing stage).  Bad input is turned into a usage error where
-the arguments are read, so an error raised inside a computation is never
-mistaken for one.  CSV emitters cover the reduction outputs.
+stderr names the failing stage), and 141 (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ended) when the reader closes stdout first.  Bad input is
+turned into a usage error where the arguments are read, so an error raised
+inside a computation is never mistaken for one.  CSV emitters cover the
+reduction outputs.
 """
 
 from __future__ import annotations
@@ -362,7 +364,7 @@ def _suite_structure(args, rng) -> dict:
                 n = Scalar(Fraction(rng.randint(-18, 36), rng.choice([1, 2, 3])))
                 spec = RepSpec(algebra, n=n,
                                m=Scalar(Fraction(rng.randint(-12, 24), rng.choice([1, 2]))),
-                               r=rng.randint(1, 4), k=rng.randint(2, 3))
+                               r=1 + t % 4, k=2 + t % 2)
             rep = verify_structure(make_rep(spec))
             rows.append({"algebra": algebra, "n": str(spec.n), "ok": rep["ok"],
                          "relations": len(rep["relations"])})
@@ -515,6 +517,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}")
     if args.trials is not None and args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials is not None and args.suite not in ("structure", "cases"):
+        raise UsageError(f"--trials is read by the structure and cases suites only, "
+                         f"not by {args.suite}")
     payload = SUITES[args.suite](args, rng)
     return emit(args, f"verify {args.suite}", {"suite": args.suite,
                                                "trials": args.trials},
@@ -656,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", **sub_kw, help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=sorted(SUITES))
-    sp.add_argument("--trials", type=int)
+    sp.add_argument("--trials", type=int, help="trials per job (structure and cases only)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("burnside", **sub_kw, help="full-matrix-algebra span check")
@@ -688,6 +693,11 @@ def run_command(argv: Sequence[str]) -> int:
         return args.fn(args)
     except (UsageError, ParseError, FileNotFoundError) as e:
         return _usage_error(e)
+    except BrokenPipeError:
+        # the reader closed stdout (`qeslab ... | head`): what is left goes to
+        # devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as e:
         stage = " ".join([args.command] + [getattr(args, a) for a in ("action", "suite")
                                            if getattr(args, a, None)])

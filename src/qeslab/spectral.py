@@ -2,18 +2,19 @@
 
 Exact characteristic polynomials come from the Hessenberg recurrence modulo a
 prime above twice their Hadamard bound; roots are read off the diagonal of a
-triangular action, and come from the companion matrix otherwise.  The scalar
+triangular action, and come from the companion matrix of the charpoly, its
+variable rescaled by a power of 2 into the float range, otherwise.  The scalar
 reduction maps -P4 f'' + P3 f' + P2 f = eps f to -psi'' + V psi = eps psi
 through z = int dx/sqrt(P4) and the gauge exponent A = (1/2) int (P3/P4) dx +
 (1/4) log P4 (the half is forced by eliminating the first-order term);
 V = A'^2 - A'' + P2 is N/P4, with N one exact polynomial.  The case P4 = c*x,
 c > 0, on [0, hi] is decided exactly and is closed form: x = c z^2 / 4, and
 the gauge integral is the exact antiderivative (p0/c) log x +
-sum_{k>=1} p_k x^k / (k c) of P3/P4, built in Fractions.  Off it P4 > 0 is
-decided by an exact Sturm count on the domain, and then one walk
-outward from the domain midpoint solves x(z) node by node (Newton steps on
-dz/dx = 1/sqrt(P4)) and sums the gauge primitive over the same gaps, both by
-adaptive 8-point Gauss-Legendre panels.  A reduction is linear in the number
+sum_{k>=1} p_k x^k / (k c) of P3/P4, built in Fractions.  Off it P4 > 0 on
+the closed domain is decided exactly (a Sturm count inside, the value at each
+end), and then one walk outward from the domain midpoint solves x(z) node by
+node (Newton steps on dz/dx = 1/sqrt(P4)) and sums the gauge primitive over
+the same gaps, both by adaptive 8-point Gauss-Legendre panels.  A reduction is linear in the number
 of grid nodes.
 
 The 2x2 matrix example reduces with x = y^2 and the gauge factor
@@ -80,14 +81,23 @@ def spectrum(result: ActionResult) -> Spectrum:
     n = len(m)
     if _first_below_diagonal(result) is None:
         return Spectrum(coeffs, [m[j][j].to_complex() for j in range(n)], 0.0)
-    croots = np.roots([c.to_complex() for c in coeffs])
-    tr_exact = sum((m[i][i] for i in range(n)), ZERO).to_complex()
-    det_exact = Scalar((-1) ** n) * coeffs[-1]
-    tr_num = complex(np.sum(croots))
-    det_num = complex(np.prod(croots))
-    scale = max(abs(tr_exact), abs(det_exact.to_complex()), 1.0)
-    err = max(abs(tr_num - tr_exact), abs(det_num - det_exact.to_complex())) / scale
-    return Spectrum(coeffs, list(croots), err)
+    # a charpoly with a coefficient c_k beyond about 2^1000 leaves the float
+    # range: its roots are read in u = t / 2^s, s = max_k ceil(bits(c_k) / k),
+    # where each c_k / 2^(s k) is at most about 1 and so are the roots u; the
+    # trace and det check compares the roots u with that polynomial's exact
+    # -c_1 and (-1)^n c_n
+    bits = [max(f.numerator.bit_length() - f.denominator.bit_length() for f in (c.re, c.im))
+            for c in coeffs]
+    s = 0 if max(bits) < 1000 else max(-(-b // k) for k, b in enumerate(bits[1:], 1))
+    u = [c / 2 ** (s * k) for k, c in enumerate(coeffs)] if s else coeffs
+    uroots = np.roots([c.to_complex() for c in u])
+    tr_exact = (-u[1]).to_complex()
+    det_exact = (Scalar((-1) ** n) * u[-1]).to_complex()
+    tr_num = complex(np.sum(uroots))
+    det_num = complex(np.prod(uroots))
+    scale = max(abs(tr_exact), abs(det_exact), 1.0)
+    err = max(abs(tr_num - tr_exact), abs(det_num - det_exact)) / scale
+    return Spectrum(coeffs, list(uroots * 2.0 ** s), err)
 
 
 def exact_rational_eigenvalues(sp: Spectrum) -> List[Scalar]:
@@ -387,9 +397,9 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
     closed form, and no node may map to x = 0.  Otherwise the domain must be
     finite, and P4 > 0 on its interior is decided exactly before any
     quadrature: with the float ends read as exact rationals, a Sturm sequence
-    of P4's square-free part must find no root strictly inside (the ends may
-    be roots), and P4 must be positive at the midpoint.  Then one walk in z
-    order outward from the domain midpoint (z = 0) solves each node by Newton
+    of P4's square-free part must find no root strictly inside, P4 must be
+    positive at the midpoint, and neither end may be a root.  Then one walk in
+    z order outward from the domain midpoint (z = 0) solves each node by Newton
     steps from the node before and adds the gap's panel integral of P3/P4 to
     the gauge primitive: linear in the node count.
     """
@@ -409,6 +419,9 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"the domain ({lo!r}, {hi!r}) is not a finite interval")
         _check_positive(p4, Fraction(lo), Fraction(hi))
+        for end in (lo, hi):
+            if not sum(c.re * Fraction(end) ** k for (k,), c in p4.terms.items()):
+                raise ValueError(f"P4 vanishes at the domain end x = {end!r}")
         x0 = 0.5 * (lo + hi)
         rate = lambda t: 1.0 / math.sqrt(f4(t))
         zrange = (panel_integral(rate, x0, lo), panel_integral(rate, x0, hi))

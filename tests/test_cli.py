@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -129,6 +131,37 @@ def test_vars_is_kept_where_an_operator_is_read(argv, capsys):
     assert run_command(argv + ["--vars", "x,y"]) == 0
 
 
+@pytest.mark.parametrize("suite", ["params", "relations", "identities", "shapes"])
+def test_trials_is_refused_where_no_suite_reads_it(suite, capsys):
+    # only the structure and cases suites draw trials
+    assert run_command(["verify", "--suite", suite, "--trials", "3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "internal" not in err and "--trials" in err["error"]
+
+
+@pytest.mark.parametrize("suite", ["structure", "cases"])
+def test_trials_is_kept_where_a_suite_reads_it(suite, capsys):
+    code, rep = run_json(capsys, ["verify", "--suite", suite, "--trials", "1"])
+    assert code == 0 and rep["inputs"]["trials"] == 1
+
+
+def test_a_closed_pipe_is_not_an_internal_failure(capsys, monkeypatch, tmp_path):
+    # `qeslab ... | head`: the reader closes stdout before the report is out
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return sink.fileno()
+
+    with open(tmp_path / "stdout", "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run_command(["burnside", "--degree", "1"]) == 141
+        os.write(sink.fileno(), b"after")       # the fd now points at devnull
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
 def test_bad_choice_is_rejected_by_the_parser(capsys):
     assert run_command(["identity", "--id", "A99"]) == 2
     assert run_command(["param-count", "--algebra", "sl2", "--degree", "3"]) == 2
@@ -169,8 +202,11 @@ def test_internal_failure_names_the_command(monkeypatch, capsys):
 # sha256 of each report at the default seed, taken before the word-expansion
 # paths were merged; any change to a report's bytes must be explained
 REPORT_DIGESTS = {
+    # re-pinned when the suite's r and k stopped being drawn and began to
+    # cycle r = 1..4 and k = 2..3 with the trial, so that gl2_semi is built
+    # at r = 1 too: the n and m draws, and so the rows, moved
     ("verify", "--suite", "structure"):
-        "a96e6b77c8c608d6f70066cd57086513106dfe3c64134453dd9fbf491e2c7d99",
+        "64afb9c2716050427bea31664e39eb01858d9a4719882b4e58d656deb18073e4",
     ("verify", "--suite", "relations"):
         "230b5860a432e1762f9e019e49834096fef45e96217aea6536d5c8d8eeee5e7f",
     # re-pinned when A10 began reading the difference family's own table:
@@ -182,9 +218,13 @@ REPORT_DIGESTS = {
     ("burnside", "--degree", "4"):
         "00ea4e9081aa48a6e482e8502ba26656909fbfd3205f3ea04953b86c6a263377",
     # the count reports, each count one exact rank; the Gaussian n runs the
-    # Gaussian rank and, through preserving_family, the Gaussian nullspace
+    # Gaussian rank and, through preserving_family, the Gaussian nullspace.
+    # The params report held again when the exact kernels moved from Scalar
+    # arithmetic onto Python ints
     ("verify", "--suite", "params"):
         "39c7ac9ec7daeeffe5e7542b8e8d15fbbfdcc68f92c9613d9e808ce459cae254",
+    # the case-catalogue sweep, held again when the oracle began to certify
+    # each rule on its predicate's nullspace basis
     ("verify", "--suite", "cases"):
         "0b28af7f320ed489bd66b366281fd95d4b070723cb3de0d1a1a072f81b31d81c",
     ("param-count", "--algebra", "osp22", "--n", "7/2+1*i", "--variant", "exact", "--matrix"):
@@ -396,12 +436,12 @@ def test_deformed_family_refuses_a_fractional_mark(capsys):
     assert "integer mark" in err and "qn" not in err
 
 
-# rank- and charpoly-heavy reports, pinned the same way before the exact
+# rank- and charpoly-heavy reports, checked the same way before the exact
 # kernels moved from Scalar arithmetic onto Python ints; the sl2 operator is
-# not triangular on int:30 and all 32 of its charpoly coefficients are nonzero
+# not triangular on int:30 and all 32 of its charpoly coefficients are
+# nonzero. The params report's pin is the one in REPORT_DIGESTS
 KERNEL_DIGESTS = {
-    ("verify", "--suite", "params"):
-        "39c7ac9ec7daeeffe5e7542b8e8d15fbbfdcc68f92c9613d9e808ce459cae254",
+    ("verify", "--suite", "params"): REPORT_DIGESTS[("verify", "--suite", "params")],
     ("spectrum", "--algebra", "sl2", "--n", "30", "--op", "J+*J- - J0*J- + J+ + 2*J0 + J-",
      "--space", "int:30"):
         "3aee3adc2aacd5969afd9a8ab204bb371bc0a549ed2f60c47b8699bd2c7ad4c3",
@@ -416,11 +456,11 @@ def test_kernel_report_digests_pinned(argv, tmp_path, monkeypatch):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == KERNEL_DIGESTS[argv]
 
 
-# the case-catalogue sweep, pinned the same way before the oracle certified
-# each rule on its predicate's nullspace basis
+# the case-catalogue sweep, checked the same way before the oracle certified
+# each rule on its predicate's nullspace basis; its pin is the one in
+# REPORT_DIGESTS
 CASES_DIGESTS = {
-    ("verify", "--suite", "cases"):
-        "0b28af7f320ed489bd66b366281fd95d4b070723cb3de0d1a1a072f81b31d81c",
+    ("verify", "--suite", "cases"): REPORT_DIGESTS[("verify", "--suite", "cases")],
 }
 
 
@@ -430,6 +470,31 @@ def test_cases_report_digest_pinned(argv, tmp_path, monkeypatch):
     path = tmp_path / "report.json"
     assert run_command(list(argv) + ["--json", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CASES_DIGESTS[argv]
+
+
+def test_spectrum_beyond_the_float_range(tmp_path, monkeypatch):
+    # on int:100 the same operator's charpoly has a 1054-bit coefficient, so
+    # its roots are read in t / 2^s; the report is pinned
+    monkeypatch.delenv("QESLAB_SEED", raising=False)
+    path = tmp_path / "report.json"
+    argv = ["spectrum", "--algebra", "sl2", "--n", "100", "--op",
+            "J+*J- - J0*J- + J+ + 2*J0 + J-", "--space", "int:100"]
+    assert run_command(argv + ["--json", str(path)]) == 0
+    assert json.loads(path.read_text())["payload"]["trace_check"] < 1e-12
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "08c44b98d1536de5811e6b9f9ccd45c98e127e8faceefcbb3720679820941ef6"
+
+
+def test_each_suite_report_is_pinned_once():
+    # each suite has its one pin in REPORT_DIGESTS; another table may check a
+    # suite report again, but only against that pin, never a hash of its own
+    pinned = [argv[2] for argv in REPORT_DIGESTS if argv[0] == "verify"]
+    assert sorted(pinned) == sorted(cli.SUITES)
+    for name, table in globals().items():
+        if name.endswith("_DIGESTS"):
+            for argv, digest in table.items():
+                if argv[0] == "verify":
+                    assert digest is REPORT_DIGESTS[argv], (name, argv)
 
 
 # the sextic reduction report, pinned the same way before the default z grid

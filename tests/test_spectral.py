@@ -435,12 +435,14 @@ def test_reduce_refuses_a_domain_without_positive_p4(p4, domain, message, monkey
         reduce_to_schrodinger(p4, zero, zero, domain, zgrid=[0.0])
 
 
-def test_reduce_lets_the_domain_ends_be_roots(monkeypatch):
+def test_reduce_refuses_a_root_at_a_domain_end(monkeypatch):
+    # dz/dx = 1/sqrt(P4) is infinite there: refused before any quadrature
     _no_quadrature(monkeypatch)
-    four_minus_x2 = Poly(("x",), {(0,): 4, (2,): -1})
     zero = Poly(("x",), {})
-    with pytest.raises(AssertionError, match="quadrature ran"):
-        reduce_to_schrodinger(four_minus_x2, zero, zero, (-2.0, 2.0), zgrid=[0.0])
+    for p4, domain, end in [(Poly(("x",), {(0,): 4, (2,): -1}), (-2.0, 2.0), "-2.0"),
+                            (Poly(("x",), {(0,): 2, (1,): -1}), (-1.0, 2.0), "2.0")]:
+        with pytest.raises(ValueError, match=f"P4 vanishes at the domain end x = {end}$"):
+            reduce_to_schrodinger(p4, zero, zero, domain, zgrid=[0.0])
 
 
 @pytest.mark.parametrize("p4,domain", [
