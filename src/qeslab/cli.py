@@ -257,6 +257,7 @@ def cmd_spectrum(args) -> int:
         "preserved": True,
         "charpoly": [str(c) for c in sp.charpoly],
         "roots": sorted([f"{r.real:.12g}{r.imag:+.12g}j" for r in sp.roots]),
+        "exact_roots": None if sp.exact is None else [str(e) for e in sp.exact],
         "trace_check": sp.trace_check,
     }
     return emit(args, "spectrum", {"op": args.op, "space": args.space},
@@ -366,10 +367,11 @@ def _suite_structure(args, rng) -> dict:
                                m=Scalar(Fraction(rng.randint(-12, 24), rng.choice([1, 2]))),
                                r=1 + t % 4, k=2 + t % 2)
             rep = verify_structure(make_rep(spec))
-            rows.append({"algebra": algebra, "n": str(spec.n), "ok": rep["ok"],
+            rows.append({**_spec_inputs(spec), "ok": rep["ok"],
                          "relations": len(rep["relations"])})
-    m_ok = verify_structure(make_rep(RepSpec("osp22", n=Scalar(3))), matrix_form=True)
-    rows.append({"algebra": "osp22 (matrix form)", "n": "3", "ok": m_ok["ok"],
+    spec = RepSpec("osp22", n=Scalar(3))
+    m_ok = verify_structure(make_rep(spec), matrix_form=True)
+    rows.append({**_spec_inputs(spec), "algebra": "osp22 (matrix form)", "ok": m_ok["ok"],
                  "relations": len(m_ok["relations"])})
     return {"rows": rows, "ok": all(r["ok"] for r in rows)}
 

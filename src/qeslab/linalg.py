@@ -178,9 +178,3 @@ def charpoly(rows: Sequence[Sequence[Scalar]]) -> List[Scalar]:
             return [Scalar(Fraction(c, d ** k)) for k, c in enumerate(lifted)]
     return _hessenberg_charpoly([list(row) for row in rows], ONE, Scalar.inv, lambda x: x)
 
-
-def eval_poly(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
-    out = ZERO
-    for c in coeffs:
-        out = out * x + c
-    return out

@@ -1,9 +1,10 @@
 """Spectra on invariant subspaces and one-dimensional Schroedinger reductions.
 
 Exact characteristic polynomials come from the Hessenberg recurrence modulo a
-prime above twice their Hadamard bound; roots are read off the diagonal of a
-triangular action, and come from the companion matrix of the charpoly, its
-variable rescaled by a power of 2 into the float range, otherwise.  The scalar
+prime above twice their Hadamard bound; a triangular action's eigenvalues are
+its diagonal, kept exact, and otherwise the roots come in floats from the
+companion matrix of the charpoly, its variable rescaled by a power of 2 into
+the float range.  The scalar
 reduction maps -P4 f'' + P3 f' + P2 f = eps f to -psi'' + V psi = eps psi
 through z = int dx/sqrt(P4) and the gauge exponent A = (1/2) int (P3/P4) dx +
 (1/4) log P4 (the half is forced by eliminating the first-order term);
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from .classify import CoeffAssignment
 from .enveloping import ElementAction
-from .linalg import charpoly, eval_poly
+from .linalg import charpoly
 from .operators import LinOperator, to_matrix_operator
 from .poly import Poly
 from .reps import RepSpec, make_rep
@@ -57,9 +58,12 @@ class NonSquareError(ValueError):
 
 @dataclass
 class Spectrum:
+    """Exact charpoly and float roots; on a triangular action also ``exact``,
+    the diagonal's Scalars in label order with repeats (None otherwise)."""
     charpoly: List[Scalar]          # monic, highest power first
     roots: List[complex]
     trace_check: float              # relative consistency of numeric roots, 0.0 if exact
+    exact: List[Scalar] | None = None
 
 
 def _first_below_diagonal(result: ActionResult) -> Tuple[int, int] | None:
@@ -70,7 +74,8 @@ def _first_below_diagonal(result: ActionResult) -> Tuple[int, int] | None:
 
 def spectrum(result: ActionResult) -> Spectrum:
     """Exact characteristic polynomial plus roots: a triangular action's are
-    its diagonal, exactly (trace_check 0.0); others the companion matrix's."""
+    its diagonal, kept exact in ``exact`` (trace_check 0.0); others the
+    companion matrix's, in floats only."""
     import numpy as np
 
     if not result.preserved:
@@ -80,7 +85,8 @@ def spectrum(result: ActionResult) -> Spectrum:
     coeffs = charpoly(m)
     n = len(m)
     if _first_below_diagonal(result) is None:
-        return Spectrum(coeffs, [m[j][j].to_complex() for j in range(n)], 0.0)
+        diag = [m[j][j] for j in range(n)]
+        return Spectrum(coeffs, [d.to_complex() for d in diag], 0.0, diag)
     # a charpoly with a coefficient c_k beyond about 2^1000 leaves the float
     # range: its roots are read in u = t / 2^s, s = max_k ceil(bits(c_k) / k),
     # where each c_k / 2^(s k) is at most about 1 and so are the roots u; the
@@ -98,24 +104,6 @@ def spectrum(result: ActionResult) -> Spectrum:
     scale = max(abs(tr_exact), abs(det_exact), 1.0)
     err = max(abs(tr_num - tr_exact), abs(det_num - det_exact)) / scale
     return Spectrum(coeffs, list(uroots * 2.0 ** s), err)
-
-
-def exact_rational_eigenvalues(sp: Spectrum) -> List[Scalar]:
-    """Rational roots of the characteristic polynomial, certified exactly."""
-    out = []
-    for r in sp.roots:
-        if abs(r.imag) > 1e-8:
-            continue
-        cand = Fraction(r.real).limit_denominator(10 ** 6)
-        if eval_poly(sp.charpoly, Scalar(cand)).is_zero():
-            out.append(Scalar(cand))
-    # dedupe, keep multiplicity out of scope here
-    seen, uniq = set(), []
-    for s in out:
-        if s.re not in seen:
-            seen.add(s.re)
-            uniq.append(s)
-    return uniq
 
 
 # --------------------------------------------------------------------------
@@ -348,10 +336,13 @@ def _qeval(p: List[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _check_positive(p4: Poly, lo: Fraction, hi: Fraction) -> None:
-    """Raise unless P4 > 0 on the open interval (lo, hi), decided in exact
-    rationals: a Sturm sequence of P4's square-free part counts its distinct
-    roots there, and a root found is bracketed to width <= 1e-6 by bisection."""
+def _check_positive(p4: Poly, domain: Tuple[float, float]) -> None:
+    """Raise unless P4 > 0 on the closed domain, decided in exact rationals
+    with the float ends read exactly: a Sturm sequence of P4's square-free
+    part counts its distinct roots inside (a root found is bracketed to width
+    <= 1e-6 by bisection), P4 must be positive at the midpoint, and neither
+    end may be a root."""
+    lo, hi = map(Fraction, domain)
     p = [Fraction(0)] * (p4.degree() + 1)
     for (k,), c in p4.terms.items():
         p[k] = c.re
@@ -383,6 +374,9 @@ def _check_positive(p4: Poly, lo: Fraction, hi: Fraction) -> None:
             raise ValueError(f"P4 vanishes inside the domain: a root lies in [{lo}, {hi}]")
     if _qeval(p, (lo + hi) / 2) <= 0:
         raise ValueError("P4 is not positive on the domain")
+    for end in domain:
+        if not _qeval(p, Fraction(end)):
+            raise ValueError(f"P4 vanishes at the domain end x = {end!r}")
 
 
 def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
@@ -418,10 +412,7 @@ def reduce_to_schrodinger(p4: Poly, p3: Poly, p2: Poly,
     else:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"the domain ({lo!r}, {hi!r}) is not a finite interval")
-        _check_positive(p4, Fraction(lo), Fraction(hi))
-        for end in (lo, hi):
-            if not sum(c.re * Fraction(end) ** k for (k,), c in p4.terms.items()):
-                raise ValueError(f"P4 vanishes at the domain end x = {end!r}")
+        _check_positive(p4, domain)
         x0 = 0.5 * (lo + hi)
         rate = lambda t: 1.0 / math.sqrt(f4(t))
         zrange = (panel_integral(rate, x0, lo), panel_integral(rate, x0, hi))

@@ -13,14 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from qeslab import cli
 from qeslab.classify import CoeffAssignment
 from qeslab.cli import run_command
 from qeslab.dsl import parse_operator, print_ast
 from qeslab.enveloping import burnside_span_rank
 from qeslab.operators import LinOperator
 from qeslab.poly import Poly
-from qeslab.reps import GeneratorSet, RepSpec, make_rep, root_of_unity_generators
+from qeslab.reps import GeneratorSet, RepSpec, root_of_unity_generators
 from qeslab.scalars import QParam, Scalar
 from qeslab.spaces import SpaceSpec, action_matrix, dimension, flag_actions
 from qeslab.spectral import (build_matrix_example, build_sextic, eigenlaw_check,
@@ -46,20 +45,18 @@ def verify_suite(suite, tmp_path):
     return code, json.loads(path.read_text())["payload"]
 
 
-def test_criterion_01_structure_suites(tmp_path, monkeypatch):
-    specs = []
-    monkeypatch.setattr(cli, "make_rep", lambda spec: specs.append(spec) or make_rep(spec))
+def test_criterion_01_structure_suites(tmp_path):
     t0 = time.time()
     code, report = verify_suite("structure", tmp_path)
     elapsed = time.time() - t0
     rows = report["rows"]
     failures = [(r["algebra"], r["n"]) for r in rows if not r["ok"]]
-    covered = ({s.r for s in specs if s.algebra == "gl2_semi"} == {1, 2, 3, 4}
-               and {s.k for s in specs if s.algebra == "gl2_semi"} == {2, 3})
+    covered = ({r["r"] for r in rows if r["algebra"] == "gl2_semi"} == {1, 2, 3, 4}
+               and {r["k"] for r in rows if r["algebra"] == "so_k1"} == {2, 3})
     announce(1, code == 0 and covered and not failures and elapsed < 10,
              f"structure tables exact, {sum(r['relations'] for r in rows)} bracket "
-             f"checks over {len(rows)} families (gl2_semi at r = 1..4, k = 2..3: "
-             f"{covered}), {elapsed:.1f}s (< 10 s), failures={failures}")
+             f"checks over {len(rows)} families (gl2_semi at r = 1..4, so_k1 at "
+             f"k = 2..3: {covered}), {elapsed:.1f}s (< 10 s), failures={failures}")
 
 
 def test_criterion_02_relation_suites(tmp_path):
@@ -147,9 +144,7 @@ def test_criterion_06_sextic_family():
                 worst_resid = max(worst_resid,
                                   schrodinger_residual(red, phi, evals[j].real))
     res = action_matrix(build_sextic(1, 0, 0, 1).operator(), SpaceSpec("interval", (1,)))
-    spec_ok = sorted(s.re for s in
-                     __import__("qeslab.spectral", fromlist=["x"]).exact_rational_eigenvalues(
-                         spectrum(res))) == [1, 5]
+    spec_ok = sorted(s.re for s in spectrum(res).exact) == [1, 5]
     sp = spectrum(action_matrix(build_sextic(1, 0, 1, 0).operator(),
                                 SpaceSpec("interval", (1,))))
     pair_ok = ([str(c) for c in sp.charpoly] == ["1", "0", "-8"]

@@ -16,6 +16,11 @@ the methods in ``m.order()`` or ``sl2.apply_poly(...)``; the chain there
 starts at a local value, not at an imported name.  The fields that the bench
 reads off result records (an action, a spectrum, a reduction) are checked on
 live instances instead.
+
+The other side of that hold is a dead-code guard: every module-level function
+or class in ``src/qeslab`` is referenced by some library module, exported in
+``qeslab.__all__``, or on an allowlist that gives its reason (the bench-only
+names among them until the benchmark stops reading them).
 """
 
 import ast
@@ -100,6 +105,57 @@ def test_bench_library_names_resolve(path):
             _resolve(dotted)
         except (AttributeError, ImportError):
             pytest.fail(f"{path.name}:{node.lineno}: {dotted} does not exist")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qeslab"
+
+# module-level definitions that no src/qeslab module references and that
+# qeslab.__all__ does not export, each with its reason for staying
+BENCH_ONLY = "bench/ reads it until a benchmark change (ROADMAP item 1)"
+TESTED_API = "library API that the tests read"
+UNREFERENCED = {
+    "spectral.adaptive_simpson": BENCH_ONLY,
+    "enveloping.expand_matrix": BENCH_ONLY,
+    "enveloping.flatten_matrix_ops": BENCH_ONLY,
+    "classify.sample_assignment": BENCH_ONLY,
+    "linalg.rref": TESTED_API,
+    "reps.root_of_unity_generators": TESTED_API,
+}
+
+
+def _unreferenced(sources: dict) -> set:
+    """'module.name' for each module-level function or class of the sources
+    (module -> text) whose name no source uses as a name, an attribute or a
+    from-import; dunder hooks such as a module's __getattr__ are left out,
+    since Python calls them."""
+    defined, used = set(), set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defined |= {(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return {f"{module}.{name}" for module, name in defined if name not in used}
+
+
+def test_unreferenced_scan_finds_an_unused_function():
+    source = "def used():\n    return 1\n\n\ndef unused():\n    return used()\n"
+    assert _unreferenced({"m": source}) == {"m.unused"}
+
+
+def test_library_has_no_unreferenced_definitions():
+    import qeslab
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    dead = {d for d in _unreferenced(sources) if d.split(".")[1] not in qeslab.__all__}
+    assert not dead - set(UNREFERENCED), f"unreferenced: {sorted(dead - set(UNREFERENCED))}"
+    # an entry whose name is now referenced, or gone, leaves the allowlist
+    assert not set(UNREFERENCED) - dead, f"stale: {sorted(set(UNREFERENCED) - dead)}"
 
 
 # result-record attributes that bench/*.py reads, by record

@@ -204,9 +204,11 @@ def test_internal_failure_names_the_command(monkeypatch, capsys):
 REPORT_DIGESTS = {
     # re-pinned when the suite's r and k stopped being drawn and began to
     # cycle r = 1..4 and k = 2..3 with the trial, so that gl2_semi is built
-    # at r = 1 too: the n and m draws, and so the rows, moved
+    # at r = 1 too: the n and m draws, and so the rows, moved.  Re-pinned
+    # again when each row began to carry its spec's m, q, r and k; the rows'
+    # other fields held
     ("verify", "--suite", "structure"):
-        "64afb9c2716050427bea31664e39eb01858d9a4719882b4e58d656deb18073e4",
+        "c773dbcd5fa911e37b05025e597bb04fa30f71c8db35608b7e78472a202f4337",
     ("verify", "--suite", "relations"):
         "230b5860a432e1762f9e019e49834096fef45e96217aea6536d5c8d8eeee5e7f",
     # re-pinned when A10 began reading the difference family's own table:
@@ -439,12 +441,14 @@ def test_deformed_family_refuses_a_fractional_mark(capsys):
 # rank- and charpoly-heavy reports, checked the same way before the exact
 # kernels moved from Scalar arithmetic onto Python ints; the sl2 operator is
 # not triangular on int:30 and all 32 of its charpoly coefficients are
-# nonzero. The params report's pin is the one in REPORT_DIGESTS
+# nonzero. The params report's pin is the one in REPORT_DIGESTS.  The
+# spectrum report was re-pinned when it gained `exact_roots` (null here, off
+# the triangular branch); its other fields held
 KERNEL_DIGESTS = {
     ("verify", "--suite", "params"): REPORT_DIGESTS[("verify", "--suite", "params")],
     ("spectrum", "--algebra", "sl2", "--n", "30", "--op", "J+*J- - J0*J- + J+ + 2*J0 + J-",
      "--space", "int:30"):
-        "3aee3adc2aacd5969afd9a8ab204bb371bc0a549ed2f60c47b8699bd2c7ad4c3",
+        "7685a84da551f161d1a94eda1a4160aa65d15ac95ac9ffcc4531410a80866396",
 }
 
 
@@ -474,7 +478,8 @@ def test_cases_report_digest_pinned(argv, tmp_path, monkeypatch):
 
 def test_spectrum_beyond_the_float_range(tmp_path, monkeypatch):
     # on int:100 the same operator's charpoly has a 1054-bit coefficient, so
-    # its roots are read in t / 2^s; the report is pinned
+    # its roots are read in t / 2^s; the report is pinned (re-pinned when it
+    # gained `exact_roots`, null off the triangular branch)
     monkeypatch.delenv("QESLAB_SEED", raising=False)
     path = tmp_path / "report.json"
     argv = ["spectrum", "--algebra", "sl2", "--n", "100", "--op",
@@ -482,7 +487,7 @@ def test_spectrum_beyond_the_float_range(tmp_path, monkeypatch):
     assert run_command(argv + ["--json", str(path)]) == 0
     assert json.loads(path.read_text())["payload"]["trace_check"] < 1e-12
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "08c44b98d1536de5811e6b9f9ccd45c98e127e8faceefcbb3720679820941ef6"
+        "fda743e82c4076fdebee5b0914b684181c2d3cf7ea0d2223266a7576113941e2"
 
 
 def test_each_suite_report_is_pinned_once():
@@ -557,6 +562,7 @@ def test_triangular_spectrum_roots_are_the_diagonal(n, capsys):
     assert code == 0 and rep["payload"]["trace_check"] == 0.0
     diag = [d * (d - n) - n // 2 for d in range(n + 1)]
     assert rep["payload"]["roots"] == sorted(f"{e}+0j" for e in diag)
+    assert rep["payload"]["exact_roots"] == [str(e) for e in diag]
 
 
 @pytest.mark.parametrize("zmin", ["1e-6", "1e-10", "1e-160"])

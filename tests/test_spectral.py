@@ -13,6 +13,7 @@ import pytest
 
 import qeslab
 from qeslab.classify import CoeffAssignment
+from qeslab.linalg import charpoly
 from qeslab.operators import OpContext, to_matrix_operator
 from qeslab.poly import Poly
 from qeslab.reps import RepSpec
@@ -20,8 +21,7 @@ from qeslab.scalars import Scalar
 from qeslab.spaces import SpaceSpec, action_matrix
 from qeslab import spectral
 from qeslab.spectral import (GAUSS_LEGENDRE_8, NonSquareError, adaptive_simpson,
-                             build_matrix_example, build_sextic,
-                             eigenlaw_check, exact_rational_eigenvalues,
+                             build_matrix_example, build_sextic, eigenlaw_check,
                              matrix_example_assignment, matrix_example_residuals,
                              operator_p_coeffs, panel_integral, potential_numerator,
                              reduce_to_schrodinger,
@@ -122,7 +122,7 @@ def test_spectrum_frozen_2x2():
     assert res.matrix == [[S(1), S(-2)], [S(0), S(5)]]
     sp = spectrum(res)
     assert [str(c) for c in sp.charpoly] == ["1", "-6", "5"]
-    assert sorted(s.re for s in exact_rational_eigenvalues(sp)) == [1, 5]
+    assert sp.exact == [S(1), S(5)]
 
 
 def test_triangular_spectrum_is_the_exact_diagonal(monkeypatch):
@@ -135,8 +135,48 @@ def test_triangular_spectrum_is_the_exact_diagonal(monkeypatch):
     asg = CoeffAssignment(RepSpec("sl2", n=S(8)), {"c_+-": S(1), "c_0-": S(2), "c_-": S(1)})
     sp = spectrum(action_matrix(asg.operator(), SpaceSpec("interval", (8,))))
     assert sp.roots == [complex(d * (d - 9)) for d in range(9)]
+    assert sp.exact == [S(d * (d - 9)) for d in range(9)]
     assert sp.trace_check == 0.0
     assert [str(c) for c in sp.charpoly][:2] == ["1", "120"]
+
+
+def test_exact_spectrum_keeps_large_denominators():
+    # 1/1234567*J0 + 1/7654321 at n = 3 is diagonal on int:3, with entries
+    # (d - 3/2)/1234567 + 1/7654321: denominators far beyond what a float
+    # root rounded to a nearby fraction finds
+    asg = CoeffAssignment(RepSpec("sl2", n=S(3)), {"c_0": S(Fraction(1, 1234567)),
+                                                   "c": S(Fraction(1, 7654321))})
+    sp = spectrum(action_matrix(asg.operator(), SpaceSpec("interval", (3,))))
+    assert sp.exact == [S(Fraction(v, 18899544228014))
+                        for v in (-20493829, -5185187, 10123455, 25432097)]
+    assert sp.trace_check == 0.0
+
+
+def _monic_product(roots):
+    """prod (t - e) over roots, highest power first."""
+    out = [S(1)]
+    for e in roots:
+        out = [a - e * b for a, b in zip(out + [S(0)], [S(0)] + out)]
+    return out
+
+
+def test_exact_spectrum_is_a_factorisation_of_the_charpoly():
+    # seeded flag-preserving sl2 elements (no raising term) act triangularly
+    # on every int:d; prod (t - e) over Spectrum.exact must be the exact
+    # charpoly, coefficient by coefficient, with one Gaussian coefficient set
+    rng = random.Random(20240901)
+    names = ("c_+-", "c_0-", "c_--", "c_0", "c_-", "c")
+    for d in (0, 1, 2, 3, 5, 8, 13, 20):
+        n = S(Fraction(rng.randint(-6, 12), rng.choice([1, 2, 3])))
+        vals = {nm: S(Fraction(rng.randint(-9, 9), rng.choice([1, 2]))) for nm in names}
+        if d == 8:
+            vals = {nm: v + S(0, rng.randint(1, 3)) for nm, v in vals.items()}
+        res = action_matrix(CoeffAssignment(RepSpec("sl2", n=n), vals).operator(),
+                            SpaceSpec("interval", (d,)))
+        sp = spectrum(res)
+        assert len(sp.exact) == d + 1 and sp.trace_check == 0.0
+        assert all(e.is_rational() for e in sp.exact) == (d != 8)
+        assert _monic_product(sp.exact) == charpoly(res.matrix), (d, vals)
 
 
 def test_spectrum_irrational_pair():
